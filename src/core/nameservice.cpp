@@ -55,9 +55,9 @@ void NameService::reply_to(const Waiter& w, Entry& e, bool ok,
           e.lease_holders.end())
     e.lease_holders.push_back(w.node);
   if (share > 0 && w.node != e.ref.node) {
-    // CREDIT-MOVED: the owner minted this credit against the name
-    // service (unattributed); tell it the share now lives at the
-    // importer's node so a failure write-off there can forgive it.
+    // CREDIT-MOVED: the owner minted this credit against this shard;
+    // tell it the share now lives at the importer's node so a failure
+    // write-off there can forgive it.
     net::Packet cm;
     cm.src_node = home_node_;
     cm.dst_node = e.ref.node;
@@ -132,8 +132,8 @@ void NameService::handle_export(Reader& r, std::vector<net::Packet>& replies,
   const vm::NetRef ref = read_netref(r);
   const std::string sig = r.str();
   const std::uint64_t credit = gc ? r.u64() : 0;
-  // Broadcast copies at non-origin replicas must not hold the credit:
-  // exactly one holder per minted unit (the origin replica keeps it).
+  // A follower's copy must not hold the credit: exactly one holder per
+  // minted unit (the shard primary keeps it).
   register_id(site, name, ref, sig, replies, keep_credit ? credit : 0);
 }
 

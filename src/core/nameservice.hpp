@@ -3,9 +3,10 @@
 // Two tables, exactly as in the paper:
 //   SiteTable: SiteName -> (SiteId, IpAddress)         [here: (node, site)]
 //   IdTable:   SiteName x IdName -> HeapId             [plus kind + type]
-// The service is centralised and reachable only through daemon packets
-// (it is hosted by one node's TyCOd); distribution of the service itself
-// is listed as future work in the paper.
+// The service is reachable only through daemon packets. The paper hosts
+// it centrally on one node's TyCOd and lists distributing it as future
+// work; here every node's TyCOd hosts one instance, holding the shard
+// slice src/ns assigns it (with one shard: node 0 holds everything).
 //
 // Imports of identifiers that have not been exported yet are *parked*
 // here and answered as soon as the export arrives — this is what makes
@@ -65,8 +66,8 @@ class NameService {
   /// `trace_id` is the causal id carried by the request packet; replies
   /// triggered by this export reuse the *waiter's* lookup id (and its
   /// sampling decision). `gc` is the packet header's credit flag; with
-  /// `keep_credit` false (a broadcast copy at a non-origin replica) the
-  /// carried credit is ignored — the origin replica holds those units.
+  /// `keep_credit` false (a follower's copy) the carried credit is
+  /// ignored — the shard primary holds those units.
   void handle_export(Reader& r, std::vector<net::Packet>& replies,
                      std::uint64_t trace_id = 0, bool sampled = true,
                      bool gc = false, bool keep_credit = true);
@@ -122,7 +123,7 @@ class NameService {
   std::vector<HandoffRecord> handoff_records() const;
 
   /// Publish this service's counters into `registry` under `ns_*` names,
-  /// labelled {ns="<label>"} (central service vs. per-node replicas).
+  /// labelled {ns="<label>"} (one "shard<N>" label per node).
   void register_metrics(obs::Registry& registry, const std::string& label);
 
   /// Consistent copy of both tables with ownership and credit — the

@@ -18,10 +18,7 @@
 namespace dityco::core {
 
 Network::Network(Config cfg)
-    : cfg_(cfg),
-      metrics_(std::make_unique<obs::Registry>()),
-      ns_(std::make_unique<NameService>(0)) {
-  ns_->register_metrics(*metrics_, "central");
+    : cfg_(cfg), metrics_(std::make_unique<obs::Registry>()) {
   // Audit-plane counters live in LiveStatus (heap, survives moves); the
   // cells are atomic so the collector is live-safe.
   LiveStatus* ls = live_.get();
@@ -46,7 +43,12 @@ Node& Network::add_node() {
   // process-global node id, not a local ordinal.
   if (cfg_.transport == TransportKind::kTcp && cfg_.tcp.multiprocess)
     id += cfg_.tcp.self;
-  nodes_.push_back(std::make_unique<Node>(id, *ns_, metrics_.get()));
+  nodes_.push_back(std::make_unique<Node>(id, metrics_.get()));
+  // The new slice learns the sites that already exist (see add_site).
+  for (const auto& n : nodes_)
+    for (const auto& s : n->sites())
+      nodes_.back()->name_service().register_site(s->name(), n->id(),
+                                                  s->site_id());
   if (trace_capacity_ > 0)
     nodes_.back()->enable_tracing(trace_capacity_, sample_every_,
                                   sample_seed_);
@@ -549,27 +551,15 @@ std::string Network::names_json() const {
              ",\"stale\":true}";
     }
   };
-  // The central service is only authoritative where its home node is
-  // hosted; other processes of a multiprocess fleet never route its
-  // packets and would report an empty shell.
-  if (ns_sharded_) {
-    // One scope per hosted shard slice: primaries carry credit
-    // (gc=true), follower copies are weak — the fleet audit joins only
-    // the credit-bearing rows, so slices federate without double count.
-    for (const auto& n : nodes_)
+  // One scope per hosted shard slice: primaries carry credit (gc=true),
+  // follower copies are weak — the fleet audit joins only the
+  // credit-bearing rows, so slices federate without double count. A
+  // node outside the shard set hosts no slice and reports none.
+  for (const auto& n : nodes_)
+    if (n->id() < ns_shard_count())
       emit(n->name_service(), "shard" + std::to_string(n->id()));
-  } else if (!ns_distributed_) {
-    for (const auto& n : nodes_)
-      if (n->id() == ns_->home_node()) {
-        emit(*ns_, "central");
-        break;
-      }
-  } else {
-    for (const auto& n : nodes_)
-      emit(n->name_service(), "node" + std::to_string(n->id()));
-  }
   out += "]";
-  if (ns_sharded_ && ns_router_) {
+  if (ns_router_) {
     out += ",\"sharding\":{\"shards\":" + std::to_string(ns_router_->shards()) +
            ",\"replicas\":" + std::to_string(ns_router_->replicas()) +
            ",\"epoch\":" + std::to_string(ns_router_->epoch()) +
@@ -826,6 +816,9 @@ Site& Network::add_site(std::size_t node_idx, const std::string& name) {
   if (find_site(name))
     throw std::logic_error("duplicate site name " + name);
   Site& s = nodes_.at(node_idx)->add_site(name);
+  // Every slice knows every site's location in advance (paper §5).
+  for (const auto& n : nodes_)
+    n->name_service().register_site(name, s.node_id(), s.site_id());
   if (cfg_.gc) s.set_gc_enabled(true);
   return s;
 }
@@ -898,6 +891,9 @@ net::Transport& Network::transport() {
     } else {
       transport_ = std::make_unique<net::InProcTransport>(nodes_.size());
     }
+    // The node set is final from here on (add_node refuses), so the
+    // shard map can be fixed before any packet flows.
+    attach_directory();
   }
   return *transport_;
 }
@@ -1010,7 +1006,6 @@ std::vector<std::string> Network::all_errors() const {
 }
 
 bool Network::anything_parked() const {
-  if (ns_->parked() > 0) return true;
   for (const auto& n : nodes_) {
     if (n->name_service().parked() > 0) return true;
     for (const auto& s : n->sites())
@@ -1037,51 +1032,35 @@ Network::Result Network::finish(Result r) const {
   return r;
 }
 
+std::uint32_t Network::ns_shard_count() const {
+  // In-process runs clamp the shard count to the nodes that exist; a
+  // multiprocess daemon hosts one node of a larger fleet and must use
+  // the fleet-wide count so every process computes the same map.
+  const std::uint32_t shards = std::max<std::uint32_t>(cfg_.ns_shards, 1);
+  if (cfg_.transport == TransportKind::kTcp && cfg_.tcp.multiprocess)
+    return shards;
+  return std::clamp<std::uint32_t>(
+      static_cast<std::uint32_t>(nodes_.size()), 1, shards);
+}
+
+void Network::attach_directory() {
+  ns_router_ = std::make_unique<ns::ShardRouter>(ns_shard_count(),
+                                                 cfg_.ns_replicas);
+  const std::uint64_t lease_ns = cfg_.ns_lease_ms * 1'000'000ull;
+  for (auto& node : nodes_) {
+    ns::LeaseCache* cache = nullptr;
+    if (lease_ns > 0) {
+      ns_caches_.push_back(std::make_unique<ns::LeaseCache>(lease_ns));
+      cache = ns_caches_.back().get();
+      cache->register_metrics(*metrics_, "node" + std::to_string(node->id()));
+    } else {
+      ns_caches_.push_back(nullptr);
+    }
+    node->set_ns_router(ns_router_.get(), cache);
+  }
+}
+
 Network::Result Network::run() {
-  if (cfg_.ns_shards > 0 && !cfg_.distributed_ns && !ns_sharded_) {
-    ns_sharded_ = true;
-    // In-process runs clamp the shard count to the nodes that exist; a
-    // multiprocess daemon hosts one node of a larger fleet and must use
-    // the fleet-wide count so every process computes the same map.
-    std::uint32_t shards = cfg_.ns_shards;
-    if (!(cfg_.transport == TransportKind::kTcp && cfg_.tcp.multiprocess))
-      shards = std::min<std::uint32_t>(
-          shards, static_cast<std::uint32_t>(nodes_.size()));
-    ns_router_ = std::make_unique<ns::ShardRouter>(shards, cfg_.ns_replicas);
-    const std::uint64_t lease_ns = cfg_.ns_lease_ms * 1'000'000ull;
-    for (auto& node : nodes_) {
-      ns::LeaseCache* cache = nullptr;
-      if (lease_ns > 0) {
-        ns_caches_.push_back(std::make_unique<ns::LeaseCache>(lease_ns));
-        cache = ns_caches_.back().get();
-        cache->register_metrics(*metrics_,
-                                "node" + std::to_string(node->id()));
-      } else {
-        ns_caches_.push_back(nullptr);
-      }
-      node->enable_sharded_ns(ns_router_.get(), cache, lease_ns > 0);
-      node->name_service().register_metrics(
-          *metrics_, "shard" + std::to_string(node->id()));
-      // Every slice knows every site's location in advance (paper §5);
-      // which slice answers a given lookup is the router's business.
-      for (auto& other : nodes_)
-        for (auto& s : other->sites())
-          node->name_service().register_site(s->name(), other->id(),
-                                             s->site_id());
-    }
-  }
-  if (cfg_.distributed_ns && !ns_distributed_) {
-    ns_distributed_ = true;
-    for (auto& node : nodes_) {
-      node->enable_local_ns(static_cast<std::uint32_t>(nodes_.size()));
-      node->name_service().register_metrics(
-          *metrics_, "node" + std::to_string(node->id()));
-      for (auto& other : nodes_)
-        for (auto& s : other->sites())
-          node->name_service().register_site(s->name(), other->id(),
-                                             s->site_id());
-    }
-  }
   {
     // Blocks until any in-progress at-rest (full) scrape finishes, so
     // executors never start under a non-live-safe snapshot.
@@ -1254,12 +1233,10 @@ Network::Result Network::run_threaded() {
     threads.emplace_back([&, j, node = nodes_[j].get()] {
       ::prctl(PR_SET_TIMERSLACK, 1000, 0, 0, 0);
       std::uint32_t idle_streak = 0;
-      // Sharded NS over a real wire: death advisories gossiped on
-      // kPeers frames move shard ownership here (generation-gated so a
-      // quiet fleet costs one atomic load per pump).
-      net::TcpTransport* tcp =
-          node->ns_router() != nullptr ? dynamic_cast<net::TcpTransport*>(&t)
-                                       : nullptr;
+      // Over a real wire, death advisories gossiped on kPeers frames
+      // move shard ownership here (generation-gated so a quiet fleet
+      // costs one atomic load per pump).
+      auto* tcp = dynamic_cast<net::TcpTransport*>(&t);
       std::uint64_t adv_gen = 0;
       while (!stop.load(std::memory_order_relaxed)) {
         daemon_hints[j]->store(false, std::memory_order_release);
@@ -1278,9 +1255,7 @@ Network::Result Network::run_threaded() {
         if (moved == 0) {
           // The daemon is the NS owner thread: publish its tables for
           // concurrent /names scrapes (cheap — gated on a dirty count).
-          // Only the home node's daemon may touch a service's state.
-          NameService& dns = node->name_service();
-          if (dns.home_node() == node->id()) dns.publish_snapshot();
+          node->name_service().publish_snapshot();
           // Same adaptive idle as the executors (see above).
           if (++idle_streak < 64)
             std::this_thread::yield();
@@ -1407,14 +1382,10 @@ Network::GcReport Network::collect_garbage(int max_rounds) {
       rep.exports_live += s->machine().live_exports();
       rep.netrefs_live += s->machine().live_netrefs();
     }
-  if (ns_distributed_ || ns_sharded_) {
-    // Sharded: primaries and their follower copies both count — a
-    // leak-free run drains every slice to zero (the final unregister is
-    // forwarded from primary to replica like any other mutation).
-    for (const auto& n : nodes_) rep.ns_ids += n->name_service().id_count();
-  } else {
-    rep.ns_ids = ns_->id_count();
-  }
+  // Primaries and their follower copies both count — a leak-free run
+  // drains every slice to zero (the final unregister is forwarded from
+  // primary to replica like any other mutation).
+  for (const auto& n : nodes_) rep.ns_ids += n->name_service().id_count();
   return rep;
 }
 
@@ -1444,10 +1415,10 @@ Network::Result Network::run_sim() {
         return i;
     throw std::logic_error("unknown site in packet");
   };
-  // Each name-service host is one server: its requests serialise. The
-  // centralised service routes everything to one node (one hot clock);
-  // distributed replicas and shard slices each get their own, which is
-  // exactly the contention relief the C6 experiment measures.
+  // Each name-service host is one server: its requests serialise. One
+  // shard routes everything to node 0 (one hot clock); more shards each
+  // get their own, which is exactly the contention relief the C6
+  // experiment measures.
   std::vector<double> ns_clock(nodes_.size(), 0.0);
   auto ns_clock_of = [&](std::uint32_t node_id) -> double& {
     for (std::size_t i = 0; i < nodes_.size(); ++i)

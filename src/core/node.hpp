@@ -32,35 +32,29 @@ bool packet_is_ns(const net::Packet& p);
 
 class Node {
  public:
-  Node(std::uint32_t id, NameService& ns, obs::Registry* metrics = nullptr)
-      : id_(id), ns_(&ns), metrics_(metrics) {}
+  /// A node hosts one NameService instance: the directory slice the
+  /// shard router assigns it (everything on node 0 with one shard — the
+  /// paper's central service) plus weak follower copies of its
+  /// neighbour's slice.
+  explicit Node(std::uint32_t id, obs::Registry* metrics = nullptr);
 
   std::uint32_t id() const { return id_; }
 
-  /// Switch this node to a local name-service replica (the distributed
-  /// name service the paper lists as future work): lookups are answered
-  /// on-node and exports are broadcast to every other node's replica.
-  void enable_local_ns(std::uint32_t n_nodes);
-
-  /// Decentralise the directory (src/ns): this node hosts a local
-  /// NameService instance holding only the shard slice the rendezvous
-  /// `router` assigns it (plus weak follower copies of its neighbour's
-  /// slice). Sites route per-key via the router; `cache`, when non-null,
-  /// is this node's lease cache and `lease_tracking` makes the hosted
-  /// slice record lease holders so rebinds push kNsInvalidate frames.
-  void enable_sharded_ns(ns::ShardRouter* router, ns::LeaseCache* cache,
-                         bool lease_tracking);
-  ns::ShardRouter* ns_router() { return router_; }
-  ns::LeaseCache* lease_cache() { return ns_cache_; }
-  /// Fold gossiped death advisories into the shard map (sharded NS over
-  /// TCP; called by the daemon thread when the transport's advisory set
-  /// changes). Moves shard ownership and re-replicates our slice, but
-  /// never evicts bindings or writes off credit — those wait for the
-  /// local detector's own kPeerDown verdict.
+  /// Attach the directory (src/ns): `router` maps each key to its owning
+  /// shard, and every site routes its name-service requests through it.
+  /// `cache`, when non-null, is this node's lease cache; it also makes
+  /// the hosted slice record lease holders so rebinds push kNsInvalidate
+  /// frames. Must precede any name-service traffic.
+  void set_ns_router(ns::ShardRouter* router, ns::LeaseCache* cache);
+  /// Fold gossiped death advisories into the shard map (over TCP; called
+  /// by the daemon thread when the transport's advisory set changes).
+  /// Moves shard ownership and re-replicates our slice, but never evicts
+  /// bindings or writes off credit — those wait for the local detector's
+  /// own kPeerDown verdict.
   void ns_merge_dead(const std::vector<std::uint32_t>& dead,
                      net::Transport& t, double now_us);
-  NameService& name_service() { return *ns_; }
-  const NameService& name_service() const { return *ns_; }
+  NameService& name_service() { return ns_; }
+  const NameService& name_service() const { return ns_; }
 
   Site& add_site(const std::string& name);
   std::vector<std::unique_ptr<Site>>& sites() { return sites_; }
@@ -112,10 +106,9 @@ class Node {
   void enable_profiling(std::uint64_t period);
 
  private:
-  /// Sharded failover: confirm `dead` in the shard map, evict its
-  /// bindings from the local slice (pushing lease invalidations), and
-  /// re-replicate every binding this node now owns as primary to its
-  /// new follower.
+  /// Failover: confirm `dead` in the shard map, evict its bindings from
+  /// the local slice (pushing lease invalidations), and re-replicate
+  /// every binding this node now owns as primary to its new follower.
   void ns_handle_dead(std::uint32_t dead, net::Transport& t, double now_us);
   /// Push a weak copy of every binding this node serves as primary to
   /// its current follower (replication repair after a map change).
@@ -123,11 +116,9 @@ class Node {
 
   std::uint64_t local_deliveries_ = 0;
   std::uint32_t id_;
-  NameService* ns_;
+  NameService ns_;
   obs::Registry* metrics_ = nullptr;
-  std::unique_ptr<NameService> replica_;  // set by enable_local/sharded_ns
-  std::uint32_t broadcast_nodes_ = 0;     // >0 when replicated
-  ns::ShardRouter* router_ = nullptr;     // set by enable_sharded_ns
+  ns::ShardRouter* router_ = nullptr;     // set by set_ns_router
   ns::LeaseCache* ns_cache_ = nullptr;    // this node's lease cache
   std::vector<std::unique_ptr<Site>> sites_;
   std::size_t trace_capacity_ = 0;  // 0 = tracing off for new sites

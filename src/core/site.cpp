@@ -51,12 +51,10 @@ class Site::Backend : public vm::RemoteBackend {
   Site& site_;
 };
 
-Site::Site(std::string name, std::uint32_t node_id, std::uint32_t site_id,
-           std::uint32_t ns_node)
+Site::Site(std::string name, std::uint32_t node_id, std::uint32_t site_id)
     : name_(std::move(name)),
       node_id_(node_id),
       site_id_(site_id),
-      ns_node_(ns_node),
       backend_(std::make_unique<Backend>(*this)),
       machine_(name_, node_id, site_id, backend_.get()) {}
 
@@ -339,8 +337,7 @@ void Site::fetch_instantiate(const vm::NetRef& cls,
 
 std::uint32_t Site::ns_target(const std::string& site,
                               const std::string& name) const {
-  return ns_router_ != nullptr ? ns_router_->primary_of(site, name)
-                               : ns_node_;
+  return ns_router_->primary_of(site, name);
 }
 
 void Site::export_id(const std::string& name, const vm::NetRef& ref) {
@@ -349,19 +346,20 @@ void Site::export_id(const std::string& name, const vm::NetRef& ref) {
     sig = it->second;
   const obs::TraceTag tid = fresh_trace_id();
   const std::uint32_t target = ns_target(name_, name);
+  if (target == ns::ShardRouter::kNoNode) return;  // no live directory
   std::uint64_t credit = 0;
   if (gc_enabled_) {
     // The name service becomes a credit holder for this entry: it hands
     // shares of the minted balance to importers and RELs the remainder
     // when the binding is dropped. The name pin keeps the entry alive
-    // even if every unit of credit drains first. Under sharding the
-    // mint is attributed to the owning primary, so a confirmed-dead
-    // shard's held balance is forgiven by write_off_node.
-    if (ns_router_ != nullptr) machine_.set_credit_peer(target);
+    // even if every unit of credit drains first. The mint is attributed
+    // to the owning primary, so a confirmed-dead shard's held balance
+    // is forgiven by write_off_node.
+    machine_.set_credit_peer(target);
     machine_.set_credit_trace(tid.id);
     credit = machine_.mint_export_credit(ref);
     machine_.set_credit_trace(0);
-    if (ns_router_ != nullptr) machine_.set_credit_peer(vm::Machine::kNoPeer);
+    machine_.set_credit_peer(vm::Machine::kNoPeer);
     machine_.pin_name(ref);
     exported_names_.emplace_back(name, ref);
   }
@@ -398,7 +396,11 @@ void Site::import_id(const std::string& site, const std::string& name,
       return;
     }
   }
-  send_packet(ns_target(site, name),
+  // With no live owner the import stays parked: the run reports it
+  // stalled, exactly as for a name nobody exported.
+  const std::uint32_t target = ns_target(site, name);
+  if (target == ns::ShardRouter::kNoNode) return;
+  send_packet(target,
               NameService::make_lookup(site, name, kind, node_id_, site_id_,
                                        token, tid.id, tid.sampled));
 }
@@ -416,9 +418,11 @@ std::size_t Site::collect(bool final, bool resend) {
     // (the unregister REL-releases the credit the service still holds).
     class_cache_.clear();
     for (const auto& [name, ref] : exported_names_) {
-      send_packet(ns_target(name_, name),
-                  NameService::make_unregister(name_, name));
-      ++queued;
+      const std::uint32_t target = ns_target(name_, name);
+      if (target != ns::ShardRouter::kNoNode) {
+        send_packet(target, NameService::make_unregister(name_, name));
+        ++queued;
+      }
       machine_.unpin_name(ref);
     }
     exported_names_.clear();
@@ -680,9 +684,9 @@ void Site::handle_packet(const std::vector<std::uint8_t>& bytes) {
       return;
     }
     case MsgType::kCreditMoved: {
-      // The name service moved part of its (unattributed) held credit
-      // for one of our exports to a new holder; charge that node so a
-      // future write-off can forgive it.
+      // The name service moved part of its held credit for one of our
+      // exports to a new holder; charge that node so a future write-off
+      // can forgive it.
       const CreditMoved cm = read_credit_moved(r);
       if (cm.ref.owned_by(node_id_, site_id_))
         machine_.attribute_export_credit(cm.ref.kind, cm.ref.heap_id,

@@ -56,8 +56,7 @@ class Site {
     obs::Counter peers_down;        // PEER-DOWN notices processed
   };
 
-  Site(std::string name, std::uint32_t node_id, std::uint32_t site_id,
-       std::uint32_t ns_node);
+  Site(std::string name, std::uint32_t node_id, std::uint32_t site_id);
   ~Site();
 
   Site(const Site&) = delete;
@@ -66,10 +65,8 @@ class Site {
   const std::string& name() const { return name_; }
   std::uint32_t node_id() const { return node_id_; }
   std::uint32_t site_id() const { return site_id_; }
-  /// Repoint this site's name-service requests (distributed NS mode).
-  void set_ns_node(std::uint32_t node) { ns_node_ = node; }
-  /// Sharded NS mode: route each request to the owning shard primary
-  /// instead of ns_node_. The router outlives the site (Network owns it).
+  /// Route each name-service request to the owning shard primary. The
+  /// router outlives the site (Network owns it).
   void set_ns_router(ns::ShardRouter* router) { ns_router_ = router; }
   /// Lease cache consulted before lookups cross the wire (one per node,
   /// owned by the Network; outlives the site).
@@ -224,12 +221,13 @@ class Site {
   void import_id(const std::string& site, const std::string& name,
                  vm::NetRef::Kind kind, std::uint64_t token);
 
-  /// Owning shard primary for a directory key (ns_node_ when central).
+  /// Owning shard primary for a directory key; ShardRouter::kNoNode
+  /// when every owner is confirmed dead (the request is then not sent).
   std::uint32_t ns_target(const std::string& site,
                           const std::string& name) const;
 
   std::string name_;
-  std::uint32_t node_id_, site_id_, ns_node_;
+  std::uint32_t node_id_, site_id_;
   ns::ShardRouter* ns_router_ = nullptr;
   ns::LeaseCache* lease_cache_ = nullptr;
   // Lookup tokens answered from the lease cache (a synthesized reply

@@ -278,7 +278,7 @@ TEST(Core, StallOnMissingExport) {
   auto res = net.run();
   EXPECT_FALSE(res.quiescent);
   EXPECT_TRUE(res.stalled);
-  EXPECT_EQ(net.name_service().parked(), 1u);
+  EXPECT_EQ(net.nodes()[0]->name_service().parked(), 1u);
 }
 
 TEST(Core, StallResolvedByLaterSubmission) {
@@ -323,9 +323,9 @@ TEST(Core, NameServiceStats) {
       "site server { export new a, b in 0 }\n"
       "site client { import a from server in import b from server in 0 }");
   net.run();
-  EXPECT_EQ(net.name_service().stats().exports, 2u);
-  EXPECT_EQ(net.name_service().stats().lookups, 2u);
-  EXPECT_EQ(net.name_service().stats().replies, 2u);
+  EXPECT_EQ(net.nodes()[0]->name_service().stats().exports, 2u);
+  EXPECT_EQ(net.nodes()[0]->name_service().stats().lookups, 2u);
+  EXPECT_EQ(net.nodes()[0]->name_service().stats().replies, 2u);
 }
 
 TEST(Core, TypeSignatureMismatchDetected) {

@@ -515,5 +515,46 @@ TEST(Fault, DroppedInvalidationServesStaleUntilLeaseExpiry) {
       << "the dropped invalidation's stale hits are accounted";
 }
 
+TEST(Fault, NoLiveShardDropsExportsAndStallsImports) {
+  // Every shard owner is confirmed dead, in the one-shard (central)
+  // layout and in a four-shard one. Name-service frames then have no
+  // destination: exports and unregisters are dropped, and an import
+  // stays unresolved, so the run reports stalled — as it would with a
+  // dead central host — instead of sending to a non-existent node.
+  for (const std::uint32_t shards : {1u, 4u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    Network::Config cfg;
+    cfg.ns_shards = shards;
+    Network net(cfg);
+    for (std::uint32_t i = 0; i <= shards; ++i) net.add_node();
+    net.add_site(0, "server");
+    net.add_site(shards, "client");  // the one node outside the shard set
+
+    auto& tr = dynamic_cast<net::InProcTransport&>(net.transport());
+    for (std::uint32_t dead = 0; dead < shards; ++dead) {
+      net::Packet down;
+      down.src_node = shards;
+      down.dst_node = shards;
+      down.bytes = make_peer_down(dead);
+      tr.send(std::move(down), 0);
+    }
+    ASSERT_NO_THROW(net.run());  // route the deaths before any NS traffic
+    ASSERT_NE(net.ns_router(), nullptr);
+    ASSERT_EQ(net.ns_router()->primary_of("server", "p"),
+              ns::ShardRouter::kNoNode);
+
+    net.submit_source("server", "export new p in 0");
+    net.submit_source("client", "import p from server in p![1]");
+    Network::Result res;
+    ASSERT_NO_THROW(res = net.run());
+    EXPECT_TRUE(res.stalled);
+    EXPECT_FALSE(res.quiescent);
+    EXPECT_TRUE(net.all_errors().empty());
+    for (const auto& n : net.nodes())
+      EXPECT_EQ(n->name_service().id_count(), 0u) << "node " << n->id();
+    ASSERT_NO_THROW(net.collect_garbage());
+  }
+}
+
 }  // namespace
 }  // namespace dityco::core

@@ -1,10 +1,10 @@
-// Tests for the decentralized (sharded) name service — src/ns plus its
-// core integration: the rendezvous shard map's determinism and minimal-
+// Tests for the name service's one routing path — src/ns plus its core
+// integration: the rendezvous shard map's determinism and minimal-
 // movement property, the lease cache's hit/expiry/invalidation and
-// retroactive stale accounting, per-key routing of register/lookup/
-// unregister to the owning shard, follower replication, lease-cache
-// serving on repeat imports, invalidation pushes on rebind, and
-// GC-clean teardown with sharding enabled.
+// retroactive stale accounting, and, for one shard (the central layout)
+// and four: per-key routing of register/lookup/unregister to the owning
+// shard, follower replication, code fetching, lease-cache serving on
+// repeat imports, invalidation pushes on rebind, and GC-clean teardown.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -141,23 +141,30 @@ TEST(LeaseCache, StaleHitsAccountedRetroactively) {
   EXPECT_EQ(c.stale_served(), 3u);
 }
 
-// -- Sharded end-to-end ----------------------------------------------
+// -- Directory end-to-end ---------------------------------------------
+//
+// Every case runs twice: with one shard (the paper's central service on
+// node 0, the default layout) and with four (one slice per node, one
+// follower each). Both layouts go through the same router path.
 
-Network shard_net(Network::Mode mode = Network::Mode::kSequential,
-                  std::uint64_t lease_ms = 0) {
-  Network::Config cfg;
-  cfg.mode = mode;
-  cfg.ns_shards = 4;
-  cfg.ns_replicas = 1;
-  cfg.ns_lease_ms = lease_ms;
-  Network net(cfg);
-  for (int i = 0; i < 4; ++i) net.add_node();
-  net.add_site(0, "server");
-  net.add_site(1, "client");
-  return net;
-}
+class NsShard : public ::testing::TestWithParam<std::uint32_t> {
+ protected:
+  Network shard_net(Network::Mode mode = Network::Mode::kSequential,
+                    std::uint64_t lease_ms = 0) {
+    Network::Config cfg;
+    cfg.mode = mode;
+    cfg.ns_shards = GetParam();
+    cfg.ns_replicas = 1;
+    cfg.ns_lease_ms = lease_ms;
+    Network net(cfg);
+    for (int i = 0; i < 4; ++i) net.add_node();
+    net.add_site(0, "server");
+    net.add_site(1, "client");
+    return net;
+  }
+};
 
-TEST(NsShard, RpcWorks) {
+TEST_P(NsShard, RpcWorks) {
   auto net = shard_net();
   net.submit_network_source(
       "site server { export new p in p?{ val(x, rep) = rep![x * 2] } }\n"
@@ -167,21 +174,22 @@ TEST(NsShard, RpcWorks) {
   EXPECT_TRUE(net.all_errors().empty());
   EXPECT_EQ(net.output("client"), std::vector<std::string>{"42"});
   ASSERT_NE(net.ns_router(), nullptr);
-  // The binding lives on exactly one primary (credit holder) and one
-  // follower (weak copy).
+  // The binding lives on exactly one primary (credit holder) and, with
+  // more than one shard, one follower (weak copy).
   const std::uint32_t prim = net.ns_router()->primary_of("server", "p");
   const std::uint32_t repl = net.ns_router()->replica_of("server", "p");
-  EXPECT_TRUE(
-      net.nodes()[prim]->name_service().lookup_id("server", "p").has_value());
-  EXPECT_TRUE(
-      net.nodes()[repl]->name_service().lookup_id("server", "p").has_value());
+  if (GetParam() == 1) {
+    EXPECT_EQ(prim, 0u);
+    EXPECT_EQ(repl, ns::ShardRouter::kNoNode);
+  }
   for (const auto& n : net.nodes()) {
-    if (n->id() == prim || n->id() == repl) continue;
-    EXPECT_FALSE(n->name_service().lookup_id("server", "p").has_value());
+    const bool holder = n->id() == prim || n->id() == repl;
+    EXPECT_EQ(n->name_service().lookup_id("server", "p").has_value(), holder)
+        << "node " << n->id();
   }
 }
 
-TEST(NsShard, LookupBeforeExportParksAtOwningShard) {
+TEST_P(NsShard, LookupBeforeExportParksAtOwningShard) {
   auto net = shard_net();
   net.submit_source("client",
                     "import p from server in let z = p![1] in print[z]");
@@ -194,7 +202,46 @@ TEST(NsShard, LookupBeforeExportParksAtOwningShard) {
   EXPECT_EQ(net.output("client"), std::vector<std::string>{"2"});
 }
 
-TEST(NsShard, ThreadedDriverWorks) {
+TEST_P(NsShard, CodeFetchingWorks) {
+  auto net = shard_net();
+  net.submit_network_source(
+      "site server { export def Applet(out) = out![7] in 0 }\n"
+      "site client { import Applet from server in "
+      "new p (Applet[p] | p?(v) = print[v]) }");
+  auto res = net.run();
+  EXPECT_TRUE(res.quiescent);
+  EXPECT_EQ(net.output("client"), std::vector<std::string>{"7"});
+}
+
+TEST_P(NsShard, ManyImportersAllServedLocally) {
+  // Six importers, each on its own node, resolve one service through
+  // the directory; every one of them is answered.
+  Network::Config cfg;
+  cfg.ns_shards = GetParam();
+  Network net(cfg);
+  net.add_node();
+  net.add_site(0, "server");
+  const int clients = 6;
+  for (int i = 0; i < clients; ++i) {
+    net.add_node();
+    net.add_site(static_cast<std::size_t>(i) + 1, "c" + std::to_string(i));
+  }
+  net.submit_source("server",
+                    "def S(self) = self?{ val(x, r) = (r![x * x] | S[self]) "
+                    "} in export new sq in S[sq]");
+  for (int i = 0; i < clients; ++i)
+    net.submit_source("c" + std::to_string(i),
+                      "import sq from server in let z = sq![" +
+                          std::to_string(i + 2) + "] in print[z]");
+  auto res = net.run();
+  EXPECT_TRUE(res.quiescent);
+  EXPECT_TRUE(net.all_errors().empty());
+  for (int i = 0; i < clients; ++i)
+    EXPECT_EQ(net.output("c" + std::to_string(i)),
+              std::vector<std::string>{std::to_string((i + 2) * (i + 2))});
+}
+
+TEST_P(NsShard, ThreadedDriverWorks) {
   auto net = shard_net(Network::Mode::kThreaded);
   net.submit_network_source(
       "site server { export new p in p?{ val(x, rep) = rep![x * 2] } }\n"
@@ -204,7 +251,7 @@ TEST(NsShard, ThreadedDriverWorks) {
   EXPECT_EQ(net.output("client"), std::vector<std::string>{"42"});
 }
 
-TEST(NsShard, SimDriverQuiesces) {
+TEST_P(NsShard, SimDriverQuiesces) {
   auto net = shard_net(Network::Mode::kSim);
   net.submit_network_source(
       "site server { export new p in p?{ val(x, rep) = rep![x * 2] } }\n"
@@ -215,7 +262,7 @@ TEST(NsShard, SimDriverQuiesces) {
   EXPECT_GT(res.virtual_time_us, 0.0);
 }
 
-TEST(NsShard, GcDrainsEveryShardSlice) {
+TEST_P(NsShard, GcDrainsEveryShardSlice) {
   auto net = shard_net();
   net.submit_network_source(
       "site server { export new p in p?{ val(x, rep) = rep![x * 2] } }\n"
@@ -229,7 +276,7 @@ TEST(NsShard, GcDrainsEveryShardSlice) {
   EXPECT_TRUE(net.self_audit().balanced);
 }
 
-TEST(NsShard, RepeatImportServedFromLeaseCache) {
+TEST_P(NsShard, RepeatImportServedFromLeaseCache) {
   auto net = shard_net(Network::Mode::kSequential, /*lease_ms=*/60'000);
   net.add_site(1, "client2");  // same node as "client": shares its cache
   net.submit_network_source(
@@ -250,7 +297,7 @@ TEST(NsShard, RepeatImportServedFromLeaseCache) {
   EXPECT_EQ(net.lease_cache(1)->hits(), 1u);
 }
 
-TEST(NsShard, RebindPushesInvalidationToLeaseHolders) {
+TEST_P(NsShard, RebindPushesInvalidationToLeaseHolders) {
   auto net = shard_net(Network::Mode::kSequential, /*lease_ms=*/60'000);
   net.submit_network_source(
       "site server { export new p in 0 }\n"
@@ -266,7 +313,7 @@ TEST(NsShard, RebindPushesInvalidationToLeaseHolders) {
   EXPECT_GE(net.lease_cache(1)->invalidations(), 1u);
 }
 
-TEST(NsShard, NamesJsonReportsShardingAndCaches) {
+TEST_P(NsShard, NamesJsonReportsShardingAndCaches) {
   auto net = shard_net(Network::Mode::kSequential, /*lease_ms=*/60'000);
   net.submit_network_source(
       "site server { export new p in 0 }\n"
@@ -274,10 +321,18 @@ TEST(NsShard, NamesJsonReportsShardingAndCaches) {
   EXPECT_TRUE(net.run().quiescent);
   const std::string j = net.names_json();
   EXPECT_NE(j.find("\"sharding\""), std::string::npos);
-  EXPECT_NE(j.find("\"shards\":4"), std::string::npos);
+  EXPECT_NE(j.find("\"shards\":" + std::to_string(GetParam())),
+            std::string::npos);
   EXPECT_NE(j.find("\"caches\""), std::string::npos);
   EXPECT_NE(j.find("shard0"), std::string::npos);
+  // Only shard hosts report a slice.
+  EXPECT_EQ(j.find("shard1") != std::string::npos, GetParam() > 1);
 }
+
+INSTANTIATE_TEST_SUITE_P(Shards, NsShard, ::testing::Values(1u, 4u),
+                         [](const auto& info) {
+                           return "s" + std::to_string(info.param);
+                         });
 
 }  // namespace
 }  // namespace dityco

@@ -565,8 +565,8 @@ TEST(EndToEnd, MetricsRegistryAggregatesAllComponents) {
   EXPECT_GT(snap.counters.at("vm_instructions{site=\"server\"}"), 0u);
   EXPECT_EQ(snap.counters.at("site_msgs_shipped{site=\"client\"}"),
             net.find_site("client")->mobility().msgs_shipped.value());
-  EXPECT_EQ(snap.counters.at("ns_lookups{ns=\"central\"}"), 1u);
-  EXPECT_EQ(snap.counters.at("ns_replies{ns=\"central\"}"), 1u);
+  EXPECT_EQ(snap.counters.at("ns_lookups{ns=\"shard0\"}"), 1u);
+  EXPECT_EQ(snap.counters.at("ns_replies{ns=\"shard0\"}"), 1u);
   // Untraced run: no events, no drops.
   EXPECT_EQ(snap.counters.at("site_trace_events{site=\"client\"}"), 0u);
 
@@ -786,9 +786,10 @@ TEST(Flight, TraceEndpointKeepsItsSampledViewUnderRecordAll) {
   // harvest any id), but /trace must still honour 1-in-64 sampling.
   for (const auto& tt : net.collect_traces())
     for (const auto& ev : tt.events)
-      if (ev.trace_id != 0)
+      if (ev.trace_id != 0) {
         EXPECT_TRUE(obs::trace_id_sampled(ev.trace_id, every, seed))
             << "unsampled id " << ev.trace_id << " leaked into /trace";
+      }
 }
 
 // ---------------------------------------------------------------------

@@ -237,7 +237,9 @@ TEST(Framing, FuzzGarbageNeverCrashesAndPoisonSticks) {
       std::vector<std::uint8_t> junk(1 + rng() % 64);
       for (auto& b : junk) b = static_cast<std::uint8_t>(rng());
       const bool ok = parser.feed(junk.data(), junk.size(), out);
-      if (poisoned) EXPECT_FALSE(ok);
+      if (poisoned) {
+        EXPECT_FALSE(ok);
+      }
       if (!ok) {
         EXPECT_TRUE(parser.error());
         poisoned = true;
@@ -1009,7 +1011,7 @@ TEST(WriteOff, PeerDownWritesOffDeadHoldersCredit) {
   EXPECT_EQ(server->dead_peers().count(1), 1u);
 
   // The name service (hosted by node 0) dropped the dead node's rows.
-  EXPECT_GT(net.name_service().stats().evictions.value(), 0u);
+  EXPECT_GT(net.nodes()[0]->name_service().stats().evictions.value(), 0u);
 
   // Premature reclamation must not happen: the NS still holds its own
   // credit share, so the entry survives until the final epoch returns

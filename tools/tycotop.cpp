@@ -28,9 +28,9 @@
 //     cannot be fully scraped (a node without --monitor, a stale
 //     snapshot) is reported as unverifiable, not as imbalanced.
 //   * --names: federates the fleet directory. The name service is NOT
-//     assumed to live on node 0: every node's /names document is one
-//     slice of the picture (the whole table when centralized, one
-//     shard slice per node when --ns-shards is on; docs/NAMESERVICE.md)
+//     assumed to live on node 0: every shard host's /names document is
+//     one slice of the picture (the whole table on node 0 with the
+//     default single shard; docs/NAMESERVICE.md)
 //     and the view stitches them all — per-slice binding counts, the
 //     shard map's epoch and dead set, and lease-cache hit rates.
 //
@@ -221,10 +221,9 @@ int main(int argc, char** argv) {
 
   if (do_names) {
     // Fleet directory view. Every node's /names is scraped — the
-    // directory is not assumed to live on node 0: a centralized fleet
-    // yields one "central" slice from the hosting node, a sharded
-    // fleet one "shard<N>" slice per node, and the federation is the
-    // union. The same per-slice join the credit audit uses.
+    // directory is not assumed to live on node 0: each shard host
+    // yields one "shard<N>" slice (a one-shard fleet just "shard0"),
+    // and the federation is the union. The same per-slice join the credit audit uses.
     struct Slice {
       std::uint32_t node = 0;
       std::string scope;
