@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "calculus/subst.hpp"
+#include "support/arith.hpp"
 #include "support/fmt.hpp"
 
 namespace dityco::calc {
@@ -123,7 +124,7 @@ RVal Reducer::eval(const Expr& e, const EnvPtr& env, const std::string& site) {
         } else if constexpr (std::is_same_v<T, Expr::Unop>) {
           RVal v = eval(*n.e, env, site);
           if (n.op == "-") {
-            if (auto* i = std::get_if<std::int64_t>(&v)) return -*i;
+            if (auto* i = std::get_if<std::int64_t>(&v)) return wrap::neg(*i);
             if (auto* f = std::get_if<double>(&v)) return -*f;
           } else if (n.op == "!") {
             if (auto* b = std::get_if<bool>(&v)) return !*b;
@@ -155,16 +156,16 @@ RVal Reducer::eval(const Expr& e, const EnvPtr& env, const std::string& site) {
           auto* ri = std::get_if<std::int64_t>(&r);
           if (li && ri) {
             std::int64_t a = *li, b = *ri;
-            if (op == "+") return a + b;
-            if (op == "-") return a - b;
-            if (op == "*") return a * b;
+            if (op == "+") return wrap::add(a, b);
+            if (op == "-") return wrap::sub(a, b);
+            if (op == "*") return wrap::mul(a, b);
             if (op == "/") {
               if (b == 0) throw EvalError{"integer division by zero"};
-              return a / b;
+              return wrap::div(a, b);
             }
             if (op == "%") {
               if (b == 0) throw EvalError{"integer modulo by zero"};
-              return a % b;
+              return wrap::mod(a, b);
             }
             if (op == "<") return a < b;
             if (op == "<=") return a <= b;

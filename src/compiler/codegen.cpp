@@ -103,7 +103,16 @@ struct Ctx {
   std::map<std::string, Binding> vars;  // names and class variables
   std::uint32_t next_slot = 0;
 
-  std::uint32_t alloc() { return next_slot++; }
+  std::uint32_t alloc() { return reserve(1); }
+  /// `n` consecutive slots; the first is returned.
+  std::uint32_t reserve(std::uint32_t n) {
+    if (n > vm::kMaxLocals - next_slot)
+      throw CompileError("a body needs more than " +
+                         std::to_string(vm::kMaxLocals) + " local slots");
+    const std::uint32_t first = next_slot;
+    next_slot += n;
+    return first;
+  }
   void bind_local(const std::string& n, std::uint32_t slot) {
     vars[n] = Binding{Binding::Kind::kLocal, slot};
   }
@@ -357,8 +366,8 @@ class Codegen {
 
     push_captures(ctx, caps);
     // Allocate consecutive slots for the class values.
-    const std::uint32_t first = ctx.next_slot;
-    ctx.next_slot += static_cast<std::uint32_t>(defs.size());
+    const std::uint32_t first =
+        ctx.reserve(static_cast<std::uint32_t>(defs.size()));
     ctx.sb->emit(Op::kMkBlock,
                  {ctx.sb->dep(seg_idx), static_cast<std::uint32_t>(caps.size()),
                   static_cast<std::uint32_t>(defs.size()), first});

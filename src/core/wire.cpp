@@ -1,5 +1,6 @@
 #include "core/wire.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 namespace dityco::core {
@@ -188,7 +189,8 @@ vm::Value unmarshal_value(vm::Machine& m, Reader& r, bool gc) {
 std::vector<vm::Value> unmarshal_values(vm::Machine& m, Reader& r, bool gc) {
   const std::uint32_t n = r.u32();
   std::vector<vm::Value> out;
-  out.reserve(n);
+  // Untrusted count: every value takes at least its tag byte.
+  out.reserve(std::min<std::size_t>(n, r.remaining()));
   for (std::uint32_t i = 0; i < n; ++i)
     out.push_back(unmarshal_value(m, r, gc));
   return out;

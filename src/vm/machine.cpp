@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <stdexcept>
 
+#include "support/arith.hpp"
 #include "support/fmt.hpp"
 #include "vm/verify.hpp"
 
@@ -34,8 +36,11 @@ Machine::Machine(std::string name, std::uint32_t node_id, std::uint32_t site_id,
 // ---------------------------------------------------------------------
 
 std::uint32_t Machine::link_loaded(std::shared_ptr<const Segment> seg,
-                                   std::vector<std::uint32_t> dep_map) {
+                                   std::vector<std::uint32_t> dep_map,
+                                   const FrameShape& shape) {
   LinkedSegment ls;
+  ls.locals_hint = std::min(shape.locals, kFrameHint);
+  ls.stack_hint = std::min(shape.stack, kFrameHint);
   ls.label_map.reserve(seg->labels.size());
   for (const auto& l : seg->labels) ls.label_map.push_back(labels_.intern(l));
   ls.string_map.reserve(seg->strings.size());
@@ -64,6 +69,7 @@ std::uint32_t Machine::load_program(const Program& p) {
   const auto base = static_cast<std::uint32_t>(linked_.size());
   for (std::size_t k = 0; k < p.segments.size(); ++k)
     slots[k] = base + static_cast<std::uint32_t>(k);
+  const std::vector<SegmentRole> roles = classify_roles(p);
   for (std::size_t k = 0; k < p.segments.size(); ++k) {
     auto seg = std::make_shared<Segment>(p.segments[k]);
     seg->guid = fresh[k];
@@ -74,8 +80,9 @@ std::uint32_t Machine::load_program(const Program& p) {
       dep_map.push_back(slots.at(d.index));
       d = fresh[d.index];  // rewrite to the real GUID for future shipping
     }
-    [[maybe_unused]] std::uint32_t got = link_loaded(std::move(seg),
-                                                     std::move(dep_map));
+    const FrameShape shape = frame_shape(*seg, code_start(*seg, roles[k]));
+    [[maybe_unused]] std::uint32_t got =
+        link_loaded(std::move(seg), std::move(dep_map), shape);
     assert(got == slots[k]);
   }
   return slots.at(p.root);
@@ -86,6 +93,7 @@ void Machine::spawn_program(const Program& p) {
   Frame f;
   f.seg = root;
   f.pc = 0;
+  f.locals.reserve(linked_[root].locals_hint);
   spawn_frame(std::move(f));
 }
 
@@ -98,13 +106,15 @@ std::uint32_t Machine::link(const SegmentGuid& guid,
     throw DecodeError("missing segment in shipped closure");
   const Segment& seg = pit->second;
   // Shipped code is untrusted input: verify before linking.
-  if (auto problems = verify_segment(seg, SegmentRole::kAny);
+  FrameShape shape;
+  if (auto problems = verify_segment(seg, SegmentRole::kAny, &shape);
       !problems.empty())
     throw DecodeError("shipped segment failed verification: " + problems[0]);
   std::vector<std::uint32_t> dep_map;
   dep_map.reserve(seg.deps.size());
   for (const auto& d : seg.deps) dep_map.push_back(link(d, pool));
-  return link_loaded(std::make_shared<Segment>(seg), std::move(dep_map));
+  return link_loaded(std::make_shared<Segment>(seg), std::move(dep_map),
+                     shape);
 }
 
 void Machine::collect_closure(std::uint32_t slot,
@@ -120,76 +130,139 @@ void Machine::collect_closure(std::uint32_t slot,
 // Channels and reductions
 // ---------------------------------------------------------------------
 
+void Channel::admit(State s) {
+  // The channel invariant: one kind of prefix waits at a time (a message
+  // and an object would have reduced). Checked in every build.
+  if (state_ != State::kEmpty && state_ != s)
+    throw std::logic_error("messages and objects queued on one channel");
+  state_ = s;
+  if (len_ < cap_) return;
+  // Grow the ring: double it and unwrap the entries to the front.
+  const std::uint32_t cap = cap_ == 0 ? 1 : 2 * cap_;
+  auto buf = std::make_unique<Pending[]>(cap);
+  for (std::uint32_t i = 0; i < len_; ++i)
+    buf[i] = std::move(buf_[(head_ + i) & (cap_ - 1)]);
+  buf_ = std::move(buf);
+  cap_ = cap;
+  head_ = 0;
+}
+
+void Channel::push_back(State s, Pending p) {
+  admit(s);
+  buf_[(head_ + len_) & (cap_ - 1)] = std::move(p);
+  ++len_;
+}
+
+void Channel::push_front(State s, Pending p) {
+  admit(s);
+  head_ = (head_ + cap_ - 1) & (cap_ - 1);
+  buf_[head_] = std::move(p);
+  ++len_;
+}
+
+Pending Channel::pop_front() {
+  assert(len_ > 0);
+  Pending p = std::move(buf_[head_]);
+  head_ = (head_ + 1) & (cap_ - 1);
+  if (--len_ == 0) *this = Channel{};  // drained: release the ring
+  return p;
+}
+
 std::uint32_t Machine::new_channel() {
   if (!free_chans_.empty()) {
     const std::uint32_t idx = free_chans_.back();
     free_chans_.pop_back();
     chan_freed_[idx] = 0;
-    heap_[idx] = Channel{};
-    return idx;
+    return idx;  // free_channel left it empty
   }
   heap_.emplace_back();
   chan_freed_.push_back(0);
   return static_cast<std::uint32_t>(heap_.size() - 1);
 }
 
-void Machine::reduce(std::uint32_t chan, ObjClosure obj, PendingMsg msg) {
-  const Segment& seg = *linked_.at(obj.seg).seg;
-  const auto& lmap = linked_.at(obj.seg).label_map;
+std::vector<Value> Machine::take_buffer(std::size_t room) {
+  std::vector<Value> v;
+  if (!spare_.empty()) {
+    v = std::move(spare_.back());
+    spare_.pop_back();
+  }
+  v.reserve(room);
+  return v;
+}
+
+void Machine::give_back(std::vector<Value>& v) {
+  if (v.capacity() == 0 || v.capacity() > 2 * kFrameHint ||
+      spare_.size() == kSpareBuffers)
+    return;
+  v.clear();
+  spare_.push_back(std::move(v));
+}
+
+bool Machine::reduce(Pending& obj, const Pending& msg) {
+  const LinkedSegment& ls = linked_.at(obj.id);
+  const Segment& seg = *ls.seg;
   // Method table: [nmethods, (labelidx, nparams, offset)*]
   const std::uint32_t nmethods = seg.code.at(0);
   for (std::uint32_t k = 0; k < nmethods; ++k) {
     const std::uint32_t labelidx = seg.code.at(1 + 3 * k);
     const std::uint32_t nparams = seg.code.at(2 + 3 * k);
     const std::uint32_t off = seg.code.at(3 + 3 * k);
-    if (lmap.at(labelidx) != msg.label) continue;
-    if (nparams != msg.args.size()) {
-      error("arity mismatch on method " + labels_.name(msg.label));
-      heap_[chan].objs.push_front(std::move(obj));
-      ++pending_objs_;
-      return;
+    if (ls.label_map.at(labelidx) != msg.id) continue;
+    if (nparams != msg.vals.size()) {
+      error("arity mismatch on method " + labels_.name(msg.id));
+      return false;
     }
     Frame f;
-    f.seg = obj.seg;
+    f.seg = obj.id;
     f.pc = off;
-    f.locals = std::move(obj.env);
-    f.locals.insert(f.locals.end(), msg.args.begin(), msg.args.end());
+    f.locals = std::move(obj.vals);
+    f.locals.reserve(std::max<std::size_t>(
+        f.locals.size() + msg.vals.size(), ls.locals_hint));
+    f.locals.insert(f.locals.end(), msg.vals.begin(), msg.vals.end());
     ++stats_.comm_reductions;
-    if (ring_) ring_->record(obs::EventType::kComm, 0, msg.label);
+    if (ring_) ring_->record(obs::EventType::kComm, 0, msg.id);
     spawn_frame(std::move(f));
-    return;
+    return true;
   }
-  error("method not understood: " + labels_.name(msg.label));
-  heap_[chan].objs.push_front(std::move(obj));
-  ++pending_objs_;
+  error("method not understood: " + labels_.name(msg.id));
+  return false;
 }
 
 void Machine::channel_send(std::uint32_t chan, std::uint32_t label,
                            std::vector<Value> args) {
   gc_dirty_ = true;
   Channel& ch = heap_.at(chan);
-  if (!ch.objs.empty()) {
-    ObjClosure obj = std::move(ch.objs.front());
-    ch.objs.pop_front();
+  Pending msg{label, std::move(args)};
+  if (ch.state() == Channel::State::kObjects) {
+    Pending obj = ch.pop_front();
     --pending_objs_;
-    reduce(chan, std::move(obj), PendingMsg{label, std::move(args)});
+    const bool reduced = reduce(obj, msg);
+    give_back(msg.vals);
+    if (reduced) return;
+    // Refused: the message is dropped, the object keeps its place.
+    ch.push_front(Channel::State::kObjects, std::move(obj));
+    ++pending_objs_;
     return;
   }
-  ch.msgs.push_back(PendingMsg{label, std::move(args)});
+  ch.push_back(Channel::State::kMessages, std::move(msg));
   ++pending_msgs_;
 }
 
-void Machine::channel_recv(std::uint32_t chan, ObjClosure obj) {
+void Machine::channel_recv(std::uint32_t chan, std::uint32_t seg_slot,
+                           std::vector<Value> env) {
   gc_dirty_ = true;
   Channel& ch = heap_.at(chan);
-  if (!ch.msgs.empty()) {
-    PendingMsg msg = std::move(ch.msgs.front());
-    ch.msgs.pop_front();
+  Pending obj{seg_slot, std::move(env)};
+  // A message the object refuses is dropped and the object meets the
+  // next one, as in the reducer (Reducer::try_reduce).
+  while (ch.state() == Channel::State::kMessages) {
+    Pending msg = ch.pop_front();
     --pending_msgs_;
-    reduce(chan, std::move(obj), std::move(msg));
-    return;
+    const bool reduced = reduce(obj, msg);
+    give_back(msg.vals);
+    if (reduced) return;
   }
-  ch.objs.push_back(std::move(obj));
+  ch.push_back(Channel::State::kObjects, std::move(obj));
   ++pending_objs_;
 }
 
@@ -228,8 +301,11 @@ void Machine::instantiate_class(Value cls, std::vector<Value> args) {
   f.seg = blk.seg;
   f.pc = off;
   f.block = entry.block;
-  f.locals = blk.env;
+  f.locals = take_buffer(std::max<std::size_t>(
+      blk.env.size() + args.size(), linked_[blk.seg].locals_hint));
+  f.locals.assign(blk.env.begin(), blk.env.end());
   f.locals.insert(f.locals.end(), args.begin(), args.end());
+  give_back(args);
   ++stats_.inst_reductions;
   if (ring_) ring_->record(obs::EventType::kInst, 0, entry.cls);
   spawn_frame(std::move(f));
@@ -255,7 +331,7 @@ void Machine::deliver_message(std::uint64_t heap_id, const std::string& label,
 void Machine::deliver_object(std::uint64_t heap_id, std::uint32_t seg_slot,
                              std::vector<Value> env) {
   Value chan = resolve_exported_chan(heap_id);
-  channel_recv(chan.idx, ObjClosure{seg_slot, std::move(env)});
+  channel_recv(chan.idx, seg_slot, std::move(env));
 }
 
 void Machine::resume_import(std::uint64_t token, Value v) {
@@ -597,9 +673,10 @@ Machine::GcSnapshot Machine::gc_snapshot() const {
 }
 
 void Machine::free_channel(std::uint32_t idx) {
-  pending_msgs_ -= heap_[idx].msgs.size();
-  pending_objs_ -= heap_[idx].objs.size();
-  heap_[idx] = Channel{};
+  Channel& ch = heap_[idx];
+  (ch.state() == Channel::State::kObjects ? pending_objs_ : pending_msgs_) -=
+      ch.size();
+  ch = Channel{};
   chan_freed_[idx] = 1;
   free_chans_.push_back(idx);
   ++gc_stats_.channels_freed;
@@ -642,10 +719,9 @@ Machine::GcOutcome Machine::gc(const std::vector<Value>& extra_roots,
       case Value::Tag::kChan:
         if (v.idx < cmark.size() && !chan_freed_[v.idx] && !cmark[v.idx]) {
           cmark[v.idx] = 1;
-          for (const auto& m : heap_[v.idx].msgs)
-            for (const Value& a : m.args) work.push_back(a);
-          for (const auto& o : heap_[v.idx].objs)
-            for (const Value& e : o.env) work.push_back(e);
+          const Channel& ch = heap_[v.idx];
+          for (std::uint32_t k = 0; k < ch.size(); ++k)
+            for (const Value& a : ch.at(k).vals) work.push_back(a);
         }
         return;
       case Value::Tag::kClass:
@@ -784,6 +860,11 @@ void Machine::register_metrics(obs::Registry& registry) {
                 static_cast<std::int64_t>(pending_msgs_));
         c.gauge("vm_pending_objects" + l,
                 static_cast<std::int64_t>(pending_objs_));
+        c.gauge("vm_live_channels" + l,
+                static_cast<std::int64_t>(live_channels()));
+        std::uint32_t longest = 0;
+        for (const Channel& ch : heap_) longest = std::max(longest, ch.size());
+        c.gauge("vm_channel_queue_max" + l, longest);
       },
       /*live_safe=*/false);
 }
@@ -818,6 +899,14 @@ double as_f(const Value& v) {
 
 }  // namespace
 
+std::size_t Machine::max_frame_locals() const {
+  std::size_t most = 0;
+  for (const Frame& f : queue_) most = std::max(most, f.locals.size());
+  for (const auto& [tok, pf] : parked_)
+    most = std::max(most, pf.frame.locals.size());
+  return most;
+}
+
 std::uint64_t Machine::run(std::uint64_t max_instructions) {
   const bool tracing = ring_ && ring_->enabled() && !queue_.empty();
   if (tracing) ring_->record(obs::EventType::kSliceBegin, 0);
@@ -834,7 +923,12 @@ std::uint64_t Machine::run(std::uint64_t max_instructions) {
     }
     bool requeue = false;
     executed += exec(f, max_instructions - executed, requeue);
-    if (requeue) queue_.push_front(std::move(f));
+    if (requeue) {
+      queue_.push_front(std::move(f));
+    } else {
+      give_back(f.locals);
+      give_back(f.stack);
+    }
   }
   stats_.instructions += executed;
   if (executed > 0) gc_dirty_ = true;
@@ -853,13 +947,25 @@ std::uint64_t Machine::exec(Frame& f, std::uint64_t budget, bool& requeue) {
     f.stack.pop_back();
     return v;
   };
-  auto pop_n = [&](std::uint32_t k) {
-    std::vector<Value> out(k);
-    for (std::uint32_t i = k; i-- > 0;) out[i] = pop();
+  // The top `k` operands, bottom first, in a vector with room for
+  // `room` values (the locals of the frame they will seed).
+  auto pop_n = [&](std::uint32_t k, std::uint32_t room = 0) {
+    if (f.stack.size() < k) throw VmError{"operand stack underflow"};
+    std::vector<Value> out = take_buffer(std::max(k, room));
+    out.assign(f.stack.end() - k, f.stack.end());
+    f.stack.resize(f.stack.size() - k);
     return out;
   };
+  auto push = [&](Value v) {
+    // The operand stack is sized once, on first use, from the hint.
+    if (f.stack.capacity() == 0) f.stack = take_buffer(ls->stack_hint);
+    f.stack.push_back(v);
+  };
   auto store = [&](std::uint32_t slot, Value v) {
-    if (f.locals.size() <= slot) f.locals.resize(slot + 1);
+    if (f.locals.size() <= slot) {
+      if (slot >= kMaxLocals) throw VmError{"local slot beyond frame limit"};
+      f.locals.resize(slot + 1);
+    }
     f.locals[slot] = v;
   };
   // Backend calls may re-enter the machine and link new segments, which
@@ -906,22 +1012,22 @@ std::uint64_t Machine::exec(Frame& f, std::uint64_t budget, bool& requeue) {
           return n;
         case Op::kPushInt: {
           const std::uint64_t lo = a, hi = b;
-          f.stack.push_back(Value::make_int(
+          push(Value::make_int(
               static_cast<std::int64_t>(lo | (hi << 32))));
           break;
         }
         case Op::kPushFloat:
-          f.stack.push_back(Value::make_float(ls->seg->floats.at(a)));
+          push(Value::make_float(ls->seg->floats.at(a)));
           break;
         case Op::kPushStr:
-          f.stack.push_back(Value::make_str(ls->string_map.at(a)));
+          push(Value::make_str(ls->string_map.at(a)));
           break;
         case Op::kPushBool:
-          f.stack.push_back(Value::make_bool(a != 0));
+          push(Value::make_bool(a != 0));
           break;
         case Op::kLoad:
           if (a >= f.locals.size()) throw VmError{"load of unset local"};
-          f.stack.push_back(f.locals[a]);
+          push(f.locals[a]);
           break;
         case Op::kStore:
           store(a, pop());
@@ -940,35 +1046,35 @@ std::uint64_t Machine::exec(Frame& f, std::uint64_t budget, bool& requeue) {
           if (l.tag == Value::Tag::kInt && r.tag == Value::Tag::kInt) {
             const std::int64_t x = l.i, y = r.i;
             switch (op) {
-              case Op::kAdd: f.stack.push_back(Value::make_int(x + y)); break;
-              case Op::kSub: f.stack.push_back(Value::make_int(x - y)); break;
-              case Op::kMul: f.stack.push_back(Value::make_int(x * y)); break;
+              case Op::kAdd: push(Value::make_int(wrap::add(x, y))); break;
+              case Op::kSub: push(Value::make_int(wrap::sub(x, y))); break;
+              case Op::kMul: push(Value::make_int(wrap::mul(x, y))); break;
               case Op::kDiv:
                 if (y == 0) throw VmError{"integer division by zero"};
-                f.stack.push_back(Value::make_int(x / y));
+                push(Value::make_int(wrap::div(x, y)));
                 break;
               case Op::kMod:
                 if (y == 0) throw VmError{"integer modulo by zero"};
-                f.stack.push_back(Value::make_int(x % y));
+                push(Value::make_int(wrap::mod(x, y)));
                 break;
-              case Op::kLt: f.stack.push_back(Value::make_bool(x < y)); break;
-              case Op::kLe: f.stack.push_back(Value::make_bool(x <= y)); break;
-              case Op::kGt: f.stack.push_back(Value::make_bool(x > y)); break;
-              case Op::kGe: f.stack.push_back(Value::make_bool(x >= y)); break;
+              case Op::kLt: push(Value::make_bool(x < y)); break;
+              case Op::kLe: push(Value::make_bool(x <= y)); break;
+              case Op::kGt: push(Value::make_bool(x > y)); break;
+              case Op::kGe: push(Value::make_bool(x >= y)); break;
               default: break;
             }
           } else if (is_num(l) && is_num(r)) {
             const double x = as_f(l), y = as_f(r);
             switch (op) {
-              case Op::kAdd: f.stack.push_back(Value::make_float(x + y)); break;
-              case Op::kSub: f.stack.push_back(Value::make_float(x - y)); break;
-              case Op::kMul: f.stack.push_back(Value::make_float(x * y)); break;
-              case Op::kDiv: f.stack.push_back(Value::make_float(x / y)); break;
+              case Op::kAdd: push(Value::make_float(x + y)); break;
+              case Op::kSub: push(Value::make_float(x - y)); break;
+              case Op::kMul: push(Value::make_float(x * y)); break;
+              case Op::kDiv: push(Value::make_float(x / y)); break;
               case Op::kMod: throw VmError{"modulo on floats"};
-              case Op::kLt: f.stack.push_back(Value::make_bool(x < y)); break;
-              case Op::kLe: f.stack.push_back(Value::make_bool(x <= y)); break;
-              case Op::kGt: f.stack.push_back(Value::make_bool(x > y)); break;
-              case Op::kGe: f.stack.push_back(Value::make_bool(x >= y)); break;
+              case Op::kLt: push(Value::make_bool(x < y)); break;
+              case Op::kLe: push(Value::make_bool(x <= y)); break;
+              case Op::kGt: push(Value::make_bool(x > y)); break;
+              case Op::kGe: push(Value::make_bool(x >= y)); break;
               default: break;
             }
           } else {
@@ -998,7 +1104,7 @@ std::uint64_t Machine::exec(Frame& f, std::uint64_t budget, bool& requeue) {
           } else if (is_num(l) && is_num(r)) {
             eq = as_f(l) == as_f(r);
           }
-          f.stack.push_back(Value::make_bool(op == Op::kEq ? eq : !eq));
+          push(Value::make_bool(op == Op::kEq ? eq : !eq));
           break;
         }
         case Op::kAndB:
@@ -1006,7 +1112,7 @@ std::uint64_t Machine::exec(Frame& f, std::uint64_t budget, bool& requeue) {
           Value r = pop(), l = pop();
           if (l.tag != Value::Tag::kBool || r.tag != Value::Tag::kBool)
             throw VmError{"non-boolean operands for logical operator"};
-          f.stack.push_back(Value::make_bool(op == Op::kAndB ? (l.b && r.b)
+          push(Value::make_bool(op == Op::kAndB ? (l.b && r.b)
                                                              : (l.b || r.b)));
           break;
         }
@@ -1014,16 +1120,16 @@ std::uint64_t Machine::exec(Frame& f, std::uint64_t budget, bool& requeue) {
           Value r = pop(), l = pop();
           if (l.tag != Value::Tag::kStr || r.tag != Value::Tag::kStr)
             throw VmError{"non-string operands for ++"};
-          f.stack.push_back(Value::make_str(
+          push(Value::make_str(
               strings_.intern(strings_.name(l.idx) + strings_.name(r.idx))));
           break;
         }
         case Op::kNeg: {
           Value v = pop();
           if (v.tag == Value::Tag::kInt)
-            f.stack.push_back(Value::make_int(-v.i));
+            push(Value::make_int(wrap::neg(v.i)));
           else if (v.tag == Value::Tag::kFloat)
-            f.stack.push_back(Value::make_float(-v.f));
+            push(Value::make_float(-v.f));
           else
             throw VmError{"non-numeric operand for negation"};
           break;
@@ -1032,7 +1138,7 @@ std::uint64_t Machine::exec(Frame& f, std::uint64_t budget, bool& requeue) {
           Value v = pop();
           if (v.tag != Value::Tag::kBool)
             throw VmError{"non-boolean operand for !"};
-          f.stack.push_back(Value::make_bool(!v.b));
+          push(Value::make_bool(!v.b));
           break;
         }
 
@@ -1076,10 +1182,12 @@ std::uint64_t Machine::exec(Frame& f, std::uint64_t budget, bool& requeue) {
         }
         case Op::kTrObj: {
           Value target = pop();
-          std::vector<Value> env = pop_n(b);
           const std::uint32_t seg_slot = ls->dep_map.at(a);
+          // The environment becomes the method frame's first locals.
+          std::vector<Value> env =
+              pop_n(b, linked_.at(seg_slot).locals_hint);
           if (target.tag == Value::Tag::kChan) {
-            channel_recv(target.idx, ObjClosure{seg_slot, std::move(env)});
+            channel_recv(target.idx, seg_slot, std::move(env));
           } else if (target.tag == Value::Tag::kNetRef) {
             if (!backend_) throw VmError{"remote object without a backend"};
             backend_->ship_object(*this, netrefs_.at(target.idx), seg_slot,
@@ -1113,7 +1221,7 @@ std::uint64_t Machine::exec(Frame& f, std::uint64_t budget, bool& requeue) {
           g.seg = f.seg;
           g.pc = a;
           g.block = f.block;
-          g.locals = pop_n(b);
+          g.locals = pop_n(b, ls->locals_hint);
           ++stats_.forks;
           spawn_frame(std::move(g));
           break;
@@ -1131,7 +1239,7 @@ std::uint64_t Machine::exec(Frame& f, std::uint64_t budget, bool& requeue) {
         case Op::kLoadSibling: {
           if (f.block == Frame::kNoBlock)
             throw VmError{"sibling class reference outside a def block"};
-          f.stack.push_back(make_class_value(f.block, a));
+          push(make_class_value(f.block, a));
           break;
         }
         case Op::kPrint: {

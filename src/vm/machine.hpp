@@ -26,6 +26,7 @@
 #include "support/intern.hpp"
 #include "vm/segment.hpp"
 #include "vm/value.hpp"
+#include "vm/verify.hpp"
 
 namespace dityco::vm {
 
@@ -60,23 +61,49 @@ class RemoteBackend {
                             const std::string& name, std::uint64_t token) = 0;
 };
 
-/// An object closure pending at a channel: a method-table segment plus
-/// the values captured from its lexical environment.
-struct ObjClosure {
-  std::uint32_t seg = 0;
-  std::vector<Value> env;
+/// A prefix pending at a channel: a message (site label id and
+/// arguments) or an object closure (method-table segment slot and the
+/// values captured from its lexical environment). The two have the same
+/// shape, so one entry type serves the channel's single queue.
+struct Pending {
+  std::uint32_t id = 0;     // message: label id; object: segment slot
+  std::vector<Value> vals;  // message: arguments; object: environment
 };
 
-struct PendingMsg {
-  std::uint32_t label = 0;  // site-global label id
-  std::vector<Value> args;
-};
+/// A heap channel (the paper's "name"): one FIFO of pending prefixes and
+/// a tag saying what they are. Messages and objects never wait on the
+/// same channel together, because such a pair would reduce, so a single
+/// queue is enough: the π-calculus reading of a channel as a queue of
+/// pending prefixes. The queue is a power-of-two ring that allocates on
+/// its first entry and frees its storage when it drains, so an empty
+/// channel owns no heap memory and a used one holds storage bounded by
+/// its peak occupancy.
+class Channel {
+ public:
+  enum class State : std::uint8_t { kEmpty, kMessages, kObjects };
 
-/// A heap channel (the paper's "name"): queues of messages and objects
-/// waiting for their counterpart.
-struct Channel {
-  std::deque<PendingMsg> msgs;
-  std::deque<ObjClosure> objs;
+  State state() const { return state_; }
+  bool empty() const { return len_ == 0; }
+  std::uint32_t size() const { return len_; }
+  /// Entries the ring can hold before it grows (0 when empty).
+  std::uint32_t capacity() const { return cap_; }
+  /// The `i`-th entry from the front; `i < size()`.
+  const Pending& at(std::uint32_t i) const {
+    return buf_[(head_ + i) & (cap_ - 1)];
+  }
+
+  /// Queue `p`, a prefix of kind `s` (messages or objects), at the back
+  /// or, for an object that refused a message, back at the front.
+  void push_back(State s, Pending p);
+  void push_front(State s, Pending p);
+  Pending pop_front();
+
+ private:
+  void admit(State s);  // checks the one-kind invariant, makes room
+
+  std::unique_ptr<Pending[]> buf_;
+  std::uint32_t cap_ = 0, head_ = 0, len_ = 0;
+  State state_ = State::kEmpty;
 };
 
 /// A definition block instance: the runtime form of `def D in P`. Shared
@@ -159,6 +186,8 @@ class Machine {
   bool idle() const { return queue_.empty(); }
   std::size_t runnable() const { return queue_.size(); }
   std::size_t parked() const { return parked_.size(); }
+  /// The most locals any runnable or parked frame holds (at rest).
+  std::size_t max_frame_locals() const;
   std::uint64_t pending_messages() const { return pending_msgs_; }
   std::uint64_t pending_objects() const { return pending_objs_; }
 
@@ -170,9 +199,13 @@ class Machine {
   // ---- channel operations (shared by local execution and deliveries) --
 
   std::uint32_t new_channel();
+  const Channel& channel(std::uint32_t idx) const { return heap_.at(idx); }
   void channel_send(std::uint32_t chan, std::uint32_t label,
                     std::vector<Value> args);
-  void channel_recv(std::uint32_t chan, ObjClosure obj);
+  /// An object closure (method-table segment `seg_slot`, captured `env`)
+  /// arrives at `chan`.
+  void channel_recv(std::uint32_t chan, std::uint32_t seg_slot,
+                    std::vector<Value> env);
 
   /// Instantiate a (local) class value with the given arguments.
   void instantiate_class(Value cls, std::vector<Value> args);
@@ -452,6 +485,11 @@ class Machine {
  private:
   struct LinkedSegment {
     std::shared_ptr<const Segment> seg;
+    // Capacity hints for frames running this code, from frame_shape()
+    // at link time; capped at kFrameHint so that frames queued by
+    // hostile code cost little before they run.
+    std::uint32_t locals_hint = 0;
+    std::uint32_t stack_hint = 0;
     std::vector<std::uint32_t> label_map;   // seg label idx -> site label id
     std::vector<std::uint32_t> string_map;  // seg string idx -> site str id
     std::vector<std::uint32_t> dep_map;     // seg dep idx -> site seg slot
@@ -496,8 +534,12 @@ class Machine {
     }
   };
 
+  static constexpr std::uint32_t kFrameHint = 64;
+  static constexpr std::size_t kSpareBuffers = 64;
+
   std::uint32_t link_loaded(std::shared_ptr<const Segment> seg,
-                            std::vector<std::uint32_t> dep_map);
+                            std::vector<std::uint32_t> dep_map,
+                            const FrameShape& shape);
   ExportEntry* find_export(NetRef::Kind kind, std::uint64_t heap_id);
   /// Drop the entry if fully drained and unpinned; returns true if so.
   bool maybe_reclaim(NetRef::Kind kind, std::uint64_t heap_id);
@@ -507,7 +549,15 @@ class Machine {
   /// Returns instructions consumed; sets `requeue` if the frame must be
   /// put back (budget exhaustion).
   std::uint64_t exec(Frame& f, std::uint64_t budget, bool& requeue);
-  void reduce(std::uint32_t chan, ObjClosure obj, PendingMsg msg);
+  /// COMM: run the method of `obj` that `msg` selects. A message the
+  /// object does not understand, or with the wrong arity, is refused: it
+  /// is dropped with an error and `obj` is left untouched (false).
+  bool reduce(Pending& obj, const Pending& msg);
+  /// An empty value buffer with room for `room` values, recycled when one
+  /// is spare.
+  std::vector<Value> take_buffer(std::size_t room);
+  /// Recycle `v`'s storage (leaves `v` empty).
+  void give_back(std::vector<Value>& v);
   void error(const std::string& what) { errors_.push_back(name_ + ": " + what); }
 
   std::string name_;
@@ -560,6 +610,13 @@ class Machine {
 
   std::uint64_t pending_msgs_ = 0;
   std::uint64_t pending_objs_ = 0;
+
+  // Spare value buffers: the operand stacks, locals and argument lists
+  // of finished frames and consumed messages wait here for the next
+  // frame or message, so a steady stream of reductions does not call the
+  // allocator. At most kSpareBuffers, each of at most 2 * kFrameHint
+  // values.
+  std::vector<std::vector<Value>> spare_;
 
   std::vector<std::string> output_;
   std::vector<std::string> errors_;

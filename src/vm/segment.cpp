@@ -1,5 +1,7 @@
 #include "vm/segment.hpp"
 
+#include <algorithm>
+
 namespace dityco::vm {
 
 int op_arity(Op op) {
@@ -121,7 +123,8 @@ Segment Segment::deserialize(Reader& r) {
   s.guid.site = r.u32();
   s.guid.index = r.u32();
   const std::uint32_t ncode = r.u32();
-  s.code.reserve(ncode);
+  // The count is untrusted: reserve no more than the bytes left can fill.
+  s.code.reserve(std::min<std::size_t>(ncode, r.remaining() / 4));
   for (std::uint32_t i = 0; i < ncode; ++i) s.code.push_back(r.u32());
   const std::uint32_t nlab = r.u32();
   for (std::uint32_t i = 0; i < nlab; ++i) s.labels.push_back(r.str());

@@ -67,6 +67,12 @@ enum class Op : std::uint32_t {
   kImportClass,    // [dst, site_sidx, name_sidx]   parks the frame
 };
 
+/// Local slots one frame may name. The verifier rejects a slot operand at
+/// or above it and the code generator refuses a body that needs more, so
+/// no slot operand can grow a frame's locals past this (4096 values,
+/// 64 KiB).
+inline constexpr std::uint32_t kMaxLocals = 4096;
+
 /// Number of operand words following each opcode.
 int op_arity(Op op);
 const char* op_name(Op op);

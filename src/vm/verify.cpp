@@ -1,5 +1,6 @@
 #include "vm/verify.hpp"
 
+#include <algorithm>
 #include <set>
 #include <string>
 
@@ -127,7 +128,8 @@ struct Check {
 };
 
 std::vector<std::string> verify_with_role(const Segment& seg,
-                                          SegmentRole role) {
+                                          SegmentRole role,
+                                          FrameShape* shape) {
   Check ck{seg, {}};
   std::size_t start = 0;
   const bool object = role == SegmentRole::kObject;
@@ -140,22 +142,110 @@ std::vector<std::string> verify_with_role(const Segment& seg,
   if (role == SegmentRole::kObject || role == SegmentRole::kClass)
     ck.table_offsets(object, starts);
   ck.operands(start, starts);
+  const FrameShape fs = frame_shape(seg, start);
+  if (fs.bad_slot_at != SIZE_MAX)
+    ck.fail(fs.bad_slot_at, "local slot at or above the frame limit " +
+                                std::to_string(kMaxLocals));
+  if (shape && ck.problems.empty()) *shape = fs;
   return ck.problems;
 }
 
 }  // namespace
 
-std::vector<std::string> verify_segment(const Segment& seg,
-                                        SegmentRole role) {
-  if (role != SegmentRole::kAny) return verify_with_role(seg, role);
+FrameShape frame_shape(const Segment& seg, std::size_t start) {
+  FrameShape fs;
+  std::uint64_t depth = 0;
+  const std::size_t n = seg.code.size();
+  for (std::size_t i = start; i < n;) {
+    const std::uint32_t raw = seg.code[i];
+    if (raw > static_cast<std::uint32_t>(Op::kImportClass)) break;
+    const Op op = static_cast<Op>(raw);
+    const auto arity = static_cast<std::size_t>(op_arity(op));
+    if (i + 1 + arity > n) break;
+    const std::uint32_t* w = seg.code.data() + i + 1;
+    // Operands popped and pushed, one past the highest local slot named,
+    // and whether straight-line execution ends here.
+    std::uint64_t pops = 0, pushes = 0, end = 0;
+    bool last = false;
+    switch (op) {
+      case Op::kPushInt: case Op::kPushFloat: case Op::kPushStr:
+      case Op::kPushBool: case Op::kLoadSibling:
+        pushes = 1;
+        break;
+      case Op::kLoad:
+        pushes = 1;
+        end = std::uint64_t{w[0]} + 1;
+        break;
+      case Op::kStore:
+        pops = 1;
+        end = std::uint64_t{w[0]} + 1;
+        break;
+      case Op::kNewChan: case Op::kGlobal:
+      case Op::kExportName: case Op::kExportClass:
+        end = std::uint64_t{w[0]} + 1;
+        break;
+      case Op::kImportName: case Op::kImportClass:
+        end = std::uint64_t{w[0]} + 1;
+        last = true;  // parks the frame
+        break;
+      case Op::kHalt: case Op::kJmp:
+        last = true;
+        break;
+      case Op::kJmpIfFalse:
+        pops = 1;
+        break;
+      case Op::kAdd: case Op::kSub: case Op::kMul: case Op::kDiv:
+      case Op::kMod: case Op::kLt: case Op::kLe: case Op::kGt: case Op::kGe:
+      case Op::kEq: case Op::kNe: case Op::kAndB: case Op::kOrB:
+      case Op::kConcat:
+        pops = 2;
+        pushes = 1;
+        break;
+      case Op::kNeg: case Op::kNot:
+        break;  // pops one, pushes one
+      case Op::kTrMsg: case Op::kTrObj:  // [_, n]: target + n values
+        pops = std::uint64_t{w[1]} + 1;
+        break;
+      case Op::kInstOf:  // [n]: class + n arguments
+        pops = std::uint64_t{w[0]} + 1;
+        break;
+      case Op::kFork:
+        pops = w[1];
+        break;
+      case Op::kMkBlock:  // [depidx, nfree, nclasses, firstdst]
+        pops = w[1];
+        end = w[2] == 0 ? 0 : std::uint64_t{w[3]} + w[2];
+        break;
+      case Op::kPrint:
+        pops = w[0];
+        break;
+    }
+    if (end > kMaxLocals) {
+      if (fs.bad_slot_at == SIZE_MAX) fs.bad_slot_at = i;
+    } else if (end > fs.locals) {
+      fs.locals = static_cast<std::uint32_t>(end);
+    }
+    depth = (depth > pops ? depth - pops : 0) + pushes;
+    if (depth > fs.stack)
+      fs.stack = static_cast<std::uint32_t>(std::min<std::uint64_t>(
+          depth, kMaxLocals));
+    if (last) depth = 0;
+    i += 1 + arity;
+  }
+  return fs;
+}
+
+std::vector<std::string> verify_segment(const Segment& seg, SegmentRole role,
+                                        FrameShape* shape) {
+  if (role != SegmentRole::kAny) return verify_with_role(seg, role, shape);
   // Unknown role: the segment is acceptable if it is valid under at
   // least one reading (the interpreter only ever uses it in the role its
   // referencing instruction implies; dynamic checks cover misuse).
-  auto as_entry = verify_with_role(seg, SegmentRole::kEntry);
+  auto as_entry = verify_with_role(seg, SegmentRole::kEntry, shape);
   if (as_entry.empty()) return {};
-  auto as_object = verify_with_role(seg, SegmentRole::kObject);
+  auto as_object = verify_with_role(seg, SegmentRole::kObject, shape);
   if (as_object.empty()) return {};
-  auto as_class = verify_with_role(seg, SegmentRole::kClass);
+  auto as_class = verify_with_role(seg, SegmentRole::kClass, shape);
   if (as_class.empty()) return {};
   // Report the entry-reading problems (usually the most informative).
   return as_entry;

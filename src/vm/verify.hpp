@@ -4,11 +4,14 @@
 // site must not trust them: before linking, every segment is checked for
 // structural integrity — decodable instruction stream, in-range jump
 // targets, constant-pool and dependency indices, and well-formed
-// method/class tables. A verified segment cannot make the interpreter
-// read out of bounds (locals are still checked dynamically; values are
-// checked by the marshaller).
+// method/class tables, and local-slot operands below kMaxLocals. A
+// verified segment cannot make the interpreter read out of bounds, nor
+// grow a frame's locals through a slot operand past kMaxLocals (locals
+// are still checked dynamically; values are checked by the marshaller).
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -24,10 +27,30 @@ enum class SegmentRole {
   kAny,     // role unknown (e.g. shipped): accept any consistent reading
 };
 
+/// What a frame running a segment's code asks for, from one decode pass.
+/// The linker sizes frames from it; it only sets capacity and replaces no
+/// dynamic check.
+struct FrameShape {
+  std::uint32_t locals = 0;  // one past the highest local slot named
+  std::uint32_t stack = 0;   // deepest operand stack of any straight run
+  // First instruction naming a slot at or above kMaxLocals (SIZE_MAX:
+  // none); the verifier rejects the segment for it.
+  std::size_t bad_slot_at = SIZE_MAX;
+};
+
+/// Decode the instruction stream from `start` to the end of the code, or
+/// to the first word that is not an instruction, and measure it. Jump
+/// targets are not followed: the stack depth restarts at zero after each
+/// unconditional transfer, which matches compiled code (its stack is
+/// empty at every jump) and is only a capacity hint for any other.
+FrameShape frame_shape(const Segment& seg, std::size_t start);
+
 /// Verify one segment. Returns the list of problems (empty = valid).
 /// `ndeps` entries of the dependency table are assumed resolvable; the
-/// linker enforces that separately.
-std::vector<std::string> verify_segment(const Segment& seg, SegmentRole role);
+/// linker enforces that separately. When the segment is valid and `shape`
+/// is set, it receives the frame shape of the reading that was accepted.
+std::vector<std::string> verify_segment(const Segment& seg, SegmentRole role,
+                                        FrameShape* shape = nullptr);
 
 /// Verify a whole compiled program (root = entry, dependencies classified
 /// by how they are referenced).

@@ -3,6 +3,9 @@
 // packets never crash a site (fuzz).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+
 #include "compiler/codegen.hpp"
 #include "core/network.hpp"
 #include "core/wire.hpp"
@@ -127,6 +130,174 @@ TEST(Verifier, HostileShippedSegmentRejectedAtLink) {
   std::map<SegmentGuid, Segment> pool{{bad.guid, bad}};
   EXPECT_THROW(m.link(bad.guid, pool), DecodeError);
 }
+
+// ---------------------------------------------------------------------
+// Local-slot limit and frame shapes
+// ---------------------------------------------------------------------
+
+Segment entry_segment(std::vector<std::uint32_t> code) {
+  Segment seg;
+  seg.guid = SegmentGuid{9, 9, 1};
+  seg.code = std::move(code);
+  return seg;
+}
+
+constexpr auto op = [](Op o) { return static_cast<std::uint32_t>(o); };
+
+TEST(Verifier, RejectsLocalSlotAtOrAboveTheLimit) {
+  // pushi 1 0; store 4000000; halt — six words that, unverified, would
+  // make a frame allocate four million locals.
+  const Segment far = entry_segment(
+      {op(Op::kPushInt), 1, 0, op(Op::kStore), 4'000'000, op(Op::kHalt)});
+  EXPECT_FALSE(verify_segment(far, SegmentRole::kEntry).empty());
+  EXPECT_FALSE(verify_segment(far, SegmentRole::kAny).empty());
+  const Segment edge = entry_segment(
+      {op(Op::kPushInt), 1, 0, op(Op::kStore), kMaxLocals, op(Op::kHalt)});
+  EXPECT_FALSE(verify_segment(edge, SegmentRole::kEntry).empty());
+  Machine m("victim");
+  std::map<SegmentGuid, Segment> pool{{far.guid, far}};
+  EXPECT_THROW(m.link(far.guid, pool), DecodeError);
+}
+
+TEST(Verifier, RejectsEverySlotOperandKind) {
+  const std::uint32_t big = kMaxLocals;
+  const std::vector<std::vector<std::uint32_t>> codes = {
+      {op(Op::kLoad), big, op(Op::kHalt)},
+      {op(Op::kNewChan), big, op(Op::kHalt)},
+      {op(Op::kGlobal), big, 0, op(Op::kHalt)},
+      {op(Op::kExportName), big, 0, op(Op::kHalt)},
+      {op(Op::kImportName), big, 0, 0, op(Op::kHalt)},
+      // mkblock naming slots [kMaxLocals - 1, kMaxLocals + 1)
+      {op(Op::kMkBlock), 0, 0, 2, kMaxLocals - 1, op(Op::kHalt)},
+  };
+  for (const auto& code : codes) {
+    Segment seg = entry_segment(code);
+    seg.strings = {"s"};
+    seg.deps = {SegmentGuid{9, 9, 2}};
+    EXPECT_FALSE(verify_segment(seg, SegmentRole::kEntry).empty())
+        << op_name(static_cast<Op>(code[0]));
+  }
+}
+
+TEST(Verifier, HighestLegalSlotRunsAndIsTheFrameLimit) {
+  const Segment seg = entry_segment({op(Op::kPushInt), 7, 0, op(Op::kStore),
+                                     kMaxLocals - 1, op(Op::kLoad),
+                                     kMaxLocals - 1, op(Op::kPrint), 1,
+                                     op(Op::kHalt)});
+  FrameShape shape;
+  ASSERT_TRUE(verify_segment(seg, SegmentRole::kAny, &shape).empty());
+  EXPECT_EQ(shape.locals, kMaxLocals);
+  EXPECT_EQ(shape.stack, 1u);
+  Machine m("m");
+  std::map<SegmentGuid, Segment> pool{{seg.guid, seg}};
+  Frame f;
+  f.seg = m.link(seg.guid, pool);
+  m.spawn_frame(std::move(f));
+  m.run(100);
+  EXPECT_TRUE(m.errors().empty());
+  EXPECT_EQ(m.output(), std::vector<std::string>{"7"});
+}
+
+TEST(Verifier, FrameShapeOfCompiledCode) {
+  // The recursive call stacks seven arguments, one of them still being
+  // computed, before the class value: the shape must cover that without
+  // asking for much more.
+  const auto prog = compile_source(
+      "def Arith(n, x, y, p, q, s, o) = if n == 0 then o![x + y] else "
+      "Arith[n - 1, (x * p + y * q + n) % 1000003, (y * s + x + 3) % 999983, "
+      "p, q, s, o] in new o Arith[3, 1, 2, 3, 4, 5, o]");
+  const auto roles = classify_roles(prog);
+  std::uint32_t most_stack = 0, most_locals = 0;
+  for (std::size_t k = 0; k < prog.segments.size(); ++k) {
+    const auto& seg = prog.segments[k];
+    const FrameShape fs = frame_shape(seg, code_start(seg, roles[k]));
+    EXPECT_EQ(fs.bad_slot_at, SIZE_MAX);
+    most_stack = std::max(most_stack, fs.stack);
+    most_locals = std::max(most_locals, fs.locals);
+  }
+  EXPECT_GE(most_stack, 8u) << "seven arguments plus the class value";
+  EXPECT_LE(most_stack, 16u);
+  EXPECT_GE(most_locals, 7u) << "the class's seven parameters";
+  EXPECT_LE(most_locals, 16u);
+}
+
+// ---------------------------------------------------------------------
+// Mutated-segment fuzzing: verifier-accepted code never faults the VM.
+// ---------------------------------------------------------------------
+
+const char* kFuzzPrograms[] = {
+    "new x (x![1] | x?(v) = print[v])",
+    "def Cell(self, v) = self?{ read(r) = (r![v] | Cell[self, v]), "
+    "write(u) = Cell[self, u] } in new x (Cell[x, 9] | "
+    "new z (x!read[z] | z?(w) = print[w]))",
+    "def F(n, acc, r) = if n == 0 then r![acc] else F[n - 1, acc * n, r] "
+    "in new out (F[10, 1, out] | out?(v) = print[v])",
+    "if 1 < 2 then print[\"a\" ++ \"b\", 2.5] else print[-3]",
+    "new a, b (a![1] | b![2] | a?(x) = b?(y) = print[x + y])",
+    "import p from s in export new q in (p![q] | q?(v) = print[v])",
+};
+
+/// One random word for a mutation: small operands, opcodes, the slot
+/// limit's edges, or anything at all.
+std::uint32_t fuzz_word(Rng& rng) {
+  switch (rng.below(6)) {
+    case 0: return static_cast<std::uint32_t>(rng.below(8));
+    case 1: return static_cast<std::uint32_t>(rng.below(40));
+    case 2: return op(Op::kImportClass) - static_cast<std::uint32_t>(rng.below(3));
+    case 3: return kMaxLocals - 1 + static_cast<std::uint32_t>(rng.below(2));
+    case 4: return 0xffffffffu - static_cast<std::uint32_t>(rng.below(2));
+    default: return static_cast<std::uint32_t>(rng.next());
+  }
+}
+
+class SegmentFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(SegmentFuzz, AcceptedMutantsNeverFaultTheVm) {
+  Rng rng(GetParam() * 7919 + 3);
+  int accepted = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    auto prog = compile_source(
+        kFuzzPrograms[rng.below(std::size(kFuzzPrograms))]);
+    // Ship it: stamp GUIDs and point every dependency at them.
+    std::map<SegmentGuid, Segment> pool;
+    for (std::size_t k = 0; k < prog.segments.size(); ++k)
+      prog.segments[k].guid = SegmentGuid{5, 5, static_cast<std::uint32_t>(k)};
+    for (auto& seg : prog.segments)
+      for (auto& d : seg.deps) d = SegmentGuid{5, 5, d.index};
+    const int edits = 1 + static_cast<int>(rng.below(3));
+    for (int e = 0; e < edits; ++e) {
+      auto& code = prog.segments[rng.below(prog.segments.size())].code;
+      if (code.empty()) continue;
+      if (rng.chance(1, 10))
+        code.resize(rng.below(code.size()));
+      else
+        code[rng.below(code.size())] = fuzz_word(rng);
+    }
+    for (const auto& seg : prog.segments) pool[seg.guid] = seg;
+
+    Machine m("victim");
+    std::uint32_t root = 0;
+    try {
+      root = m.link(prog.segments[prog.root].guid, pool);
+    } catch (const DecodeError&) {
+      continue;  // rejected by the verifier
+    }
+    ++accepted;
+    Frame f;
+    f.seg = root;
+    m.spawn_frame(std::move(f));
+    for (int slice = 0; slice < 200 && !m.idle(); ++slice) {
+      m.run(50);
+      ASSERT_LE(m.max_frame_locals(), kMaxLocals);
+    }
+    m.gc();
+    EXPECT_LE(m.errors().size(), 10'000u);
+  }
+  EXPECT_GT(accepted, 10) << "the mutator must reach the interpreter";
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SegmentFuzz,
+                         ::testing::Range<std::uint64_t>(1, 17));
 
 // ---------------------------------------------------------------------
 // Packet fuzzing: random bytes at the site boundary must never crash.

@@ -4,11 +4,34 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdlib>
+#include <new>
+#include <stdexcept>
 
 #include "calculus/reducer.hpp"
 #include "compiler/codegen.hpp"
 #include "compiler/parser.hpp"
 #include "vm/machine.hpp"
+
+// Counting allocator: every operator new in this binary bumps the count,
+// so a test can assert that a code path performs no heap allocation.
+std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_allocated_bytes{0};
+
+void* operator new(std::size_t n) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_allocated_bytes.fetch_add(n, std::memory_order_relaxed);
+  if (void* p = std::malloc(n ? n : 1)) return p;
+  throw std::bad_alloc();
+}
+// GCC flags free() inside a replacement operator delete as a mismatch with
+// operator new; here both are the malloc-based replacements above.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace dityco::vm {
 namespace {
@@ -46,6 +69,34 @@ TEST(Vm, Arithmetic) {
   ASSERT_TRUE(m.errors().empty());
   EXPECT_EQ(m.output()[0],
             "7 1 3 -4 3.5 ab true false false true false true false");
+}
+
+TEST(Vm, IntegerArithmeticWraps) {
+  // INT64_MIN / -1 traps on x86 when done natively; the language wraps.
+  // Folded at compile time and computed at run time alike.
+  const std::string min = "(0 - 9223372036854775807 - 1)";
+  const std::string folded = "print[" + min + " / (0 - 1), " + min +
+                             " % (0 - 1), 9223372036854775807 + 1, "
+                             "4611686018427387904 * 4, -" + min + "]";
+  const std::string runtime =
+      "def F(a, b, c) = print[a / b, a % b, c + 1, c * 2, -a] in "
+      "F[" + min + ", 0 - 1, 9223372036854775807]";
+  const std::string want =
+      "-9223372036854775808 0 -9223372036854775808 0 -9223372036854775808";
+  const std::string want_rt =
+      "-9223372036854775808 0 -9223372036854775808 -2 -9223372036854775808";
+  for (bool optimize : {true, false}) {
+    Machine m("main");
+    m.spawn_program(compile_source(folded, optimize));
+    m.spawn_program(compile_source(runtime, optimize));
+    m.run(10'000);
+    ASSERT_TRUE(m.errors().empty()) << m.errors()[0];
+    EXPECT_EQ(sorted(m.output()), sorted({want, want_rt}));
+  }
+  calc::Reducer red;
+  red.add_program("main", comp::parse_program(runtime));
+  red.run();
+  EXPECT_EQ(red.output("main"), std::vector<std::string>{want_rt});
 }
 
 TEST(Vm, LargeIntImmediates) {
@@ -407,7 +458,183 @@ TEST(Segments, ClosureCollection) {
       << "root closure must cover the whole program here";
 }
 
+// ---- channels: one ring queue per channel -------------------------------
+
+/// A machine with one object segment loaded whose method `val(v)` does
+/// nothing; returns its segment slot.
+std::uint32_t load_sink(Machine& m) {
+  const std::uint32_t root = m.load_program(compile_source("x?(v) = 0"));
+  return root + 1;  // the object segment follows the root
+}
+
+TEST(Channel, FreshChannelOwnsNoHeapMemory) {
+  Channel ch;
+  EXPECT_EQ(ch.capacity(), 0u);
+  EXPECT_EQ(ch.state(), Channel::State::kEmpty);
+  Machine m("main");
+  const std::uint32_t idx = m.new_channel();
+  EXPECT_EQ(m.channel(idx).capacity(), 0u);
+  EXPECT_TRUE(m.channel(idx).empty());
+}
+
+TEST(Channel, EmptyChannelPerformsNoAllocation) {
+  std::vector<Channel> v;
+  v.reserve(1000);
+  const std::uint64_t before = g_allocations.load();
+  for (int i = 0; i < 1000; ++i) v.emplace_back();
+  EXPECT_EQ(g_allocations.load() - before, 0u);
+}
+
+TEST(Channel, RingKeepsOrderAcrossWrapAndPushFront) {
+  Channel ch;
+  using S = Channel::State;
+  for (std::uint32_t k = 0; k < 3; ++k) ch.push_back(S::kMessages, {k, {}});
+  // Wrap the head around the ring's end a few times.
+  for (std::uint32_t k = 3; k < 40; ++k) {
+    EXPECT_EQ(ch.pop_front().id, k - 3);
+    ch.push_back(S::kMessages, {k, {}});
+  }
+  ch.push_front(S::kMessages, {99, {}});
+  ASSERT_EQ(ch.size(), 4u);
+  EXPECT_LE(ch.capacity(), 4u);
+  const std::uint32_t want[] = {99, 37, 38, 39};
+  for (std::uint32_t k = 0; k < 4; ++k) EXPECT_EQ(ch.at(k).id, want[k]);
+  for (std::uint32_t id : want) EXPECT_EQ(ch.pop_front().id, id);
+  EXPECT_EQ(ch.state(), S::kEmpty);
+  EXPECT_EQ(ch.capacity(), 0u) << "a drained channel releases its ring";
+}
+
+TEST(Channel, OneKindOfPrefixAtATime) {
+  Channel ch;
+  ch.push_back(Channel::State::kMessages, {1, {}});
+  EXPECT_THROW(ch.push_back(Channel::State::kObjects, {2, {}}),
+               std::logic_error);
+  EXPECT_THROW(ch.push_front(Channel::State::kObjects, {2, {}}),
+               std::logic_error);
+  EXPECT_EQ(ch.pop_front().id, 1u);
+  ch.push_back(Channel::State::kObjects, {2, {}});  // empty again: any kind
+  EXPECT_EQ(ch.state(), Channel::State::kObjects);
+}
+
+TEST(Channel, StorageBoundedByPeakOccupancy) {
+  // The channel always keeps at least one message queued: a queue that
+  // only reclaimed space once it fully drained would grow without bound.
+  Machine m("main");
+  const std::uint32_t sink = load_sink(m);
+  const std::uint32_t ch = m.new_channel();
+  const std::uint32_t val = m.intern_label("val");
+  m.channel_send(ch, val, {Value::make_int(0)});
+  for (int k = 1; k <= 100'000; ++k) {
+    m.channel_send(ch, val, {Value::make_int(k)});
+    m.channel_recv(ch, sink, {});
+    if (k % 1000 == 0) m.run(1'000'000);
+  }
+  m.run(1'000'000);
+  EXPECT_TRUE(m.errors().empty());
+  EXPECT_EQ(m.channel(ch).size(), 1u);
+  EXPECT_LE(m.channel(ch).capacity(), 2u);
+  EXPECT_EQ(m.channel(ch).at(0).vals.at(0).i, 100'000);
+  EXPECT_EQ(m.stats().comm_reductions, 100'000u);
+}
+
+TEST(Channel, RefusedMessageKeepsObjectOrder) {
+  // Two objects wait; the first refuses a message and must keep its
+  // place at the front, so the next message still reaches it first.
+  auto m = run_local(
+      "new x (x?{ a(v) = print[\"first\", v] } | x?{ a(v) = print[\"second\", "
+      "v] })");
+  ASSERT_EQ(m.pending_objects(), 2u);
+  // x is the program's only channel, so it sits in slot 0.
+  m.channel_send(0, m.intern_label("nosuch"), {});
+  m.channel_send(0, m.intern_label("a"), {Value::make_int(1)});
+  m.run(10'000);
+  ASSERT_EQ(m.errors().size(), 1u);
+  EXPECT_EQ(m.output(), std::vector<std::string>{"first 1"});
+  EXPECT_EQ(m.pending_objects(), 1u);
+  EXPECT_EQ(m.channel(0).state(), Channel::State::kObjects);
+}
+
+TEST(Channel, GcFreesQueuedChannelsAndReusesSlots) {
+  Machine m("main");
+  const std::uint32_t val = m.intern_label("val");
+  std::vector<std::uint32_t> chans;
+  for (int k = 0; k < 8; ++k) {
+    chans.push_back(m.new_channel());
+    for (int j = 0; j <= k; ++j)
+      m.channel_send(chans.back(), val, {Value::make_int(j)});
+  }
+  EXPECT_EQ(m.pending_messages(), 36u);
+  // No frame or root holds them: every channel is garbage.
+  const auto out = m.gc();
+  EXPECT_EQ(out.channels_freed, 8u);
+  EXPECT_EQ(m.pending_messages(), 0u);
+  EXPECT_EQ(m.live_channels(), 0u);
+  for (int k = 0; k < 8; ++k) {
+    const std::uint32_t idx = m.new_channel();
+    EXPECT_LT(idx, 8u) << "freed slots are reused";
+    EXPECT_TRUE(m.channel(idx).empty());
+    EXPECT_EQ(m.channel(idx).capacity(), 0u);
+  }
+  EXPECT_EQ(m.live_channels(), 8u);
+}
+
+TEST(Channel, QueueGauges) {
+  obs::Registry reg;
+  auto m = run_local("new x, y (x![1] | x![2] | x![3] | y![4] | new z 0)");
+  m.register_metrics(reg);
+  const auto g = reg.snapshot().gauges;
+  EXPECT_EQ(g.at("vm_live_channels{site=\"main\"}"), 3);
+  EXPECT_EQ(g.at("vm_channel_queue_max{site=\"main\"}"), 3);
+  EXPECT_EQ(g.at("vm_pending_messages{site=\"main\"}"), 4);
+}
+
+TEST(Frames, PopCountCheckedBeforeAllocating) {
+  // print 1000000 on an empty operand stack: the count is checked
+  // against the stack before a vector of that many values is made.
+  Segment seg;
+  seg.guid = SegmentGuid{9, 9, 1};
+  seg.code = {static_cast<std::uint32_t>(Op::kPrint), 1'000'000,
+              static_cast<std::uint32_t>(Op::kHalt)};
+  Machine m("m");
+  std::map<SegmentGuid, Segment> pool{{seg.guid, seg}};
+  Frame f;
+  f.seg = m.link(seg.guid, pool);
+  m.spawn_frame(std::move(f));
+  const std::uint64_t before = g_allocated_bytes.load();
+  m.run(100);
+  EXPECT_LT(g_allocated_bytes.load() - before, 1u << 20);
+  ASSERT_EQ(m.errors().size(), 1u);
+  EXPECT_NE(m.errors()[0].find("underflow"), std::string::npos);
+}
+
+TEST(Frames, BodyWithTooManyLocalsIsACompileError) {
+  std::string names;
+  for (std::uint32_t k = 0; k <= kMaxLocals; ++k)
+    names += (k ? ", c" : "c") + std::to_string(k);
+  EXPECT_THROW(compile_source("new " + names + " 0"), comp::CompileError);
+}
+
 // ---- differential tests against the reference reducer -------------------
+
+TEST(DifferentialRegression, RefusedMessageRetriesNextQueued) {
+  // The object meets `bad` first, refuses it, and must then meet the
+  // still-queued `val` — as the reducer does — instead of waiting with
+  // a message it understands queued on the same channel.
+  const char* src =
+      "def D(x, k) = if k == 0 then x?{ val(v) = print[v] } else "
+      "D[x, k - 1] in new x (D[x, 5] | x!val[2] | x!bad[1])";
+  calc::Reducer red;
+  red.add_program("main", comp::parse_program(src));
+  const auto rres = red.run();
+  EXPECT_EQ(red.output("main"), std::vector<std::string>{"2"});
+  EXPECT_EQ(rres.pending_messages + rres.pending_objects, 0u);
+
+  auto m = run_local(src);
+  EXPECT_EQ(m.output(), std::vector<std::string>{"2"});
+  EXPECT_EQ(m.pending_messages(), 0u);
+  EXPECT_EQ(m.pending_objects(), 0u);
+  EXPECT_EQ(m.errors().size(), rres.errors.size());
+}
 
 class Differential : public ::testing::TestWithParam<const char*> {};
 
