@@ -25,6 +25,9 @@ Network::Network(Config cfg)
   audit_reg_ = metrics_->add_collector([ls](obs::Collector& c) {
     c.counter("gc_audits", ls->gc_audits);
     c.counter("gc_audit_imbalance", ls->gc_audit_imbalance);
+    c.counter("driver_parks_total{thread=\"exec\"}", ls->exec_parks);
+    c.counter("driver_parks_total{thread=\"pump\"}", ls->pump_parks);
+    c.counter("driver_park_backstops_total", ls->park_backstops);
   });
 }
 
@@ -894,6 +897,7 @@ net::Transport& Network::transport() {
     // The node set is final from here on (add_node refuses), so the
     // shard map can be fixed before any packet flows.
     attach_directory();
+    for (auto& n : nodes_) transport_->set_doorbell(n->id(), &n->bell());
   }
   return *transport_;
 }
@@ -1065,6 +1069,9 @@ Network::Result Network::run() {
     // Blocks until any in-progress at-rest (full) scrape finishes, so
     // executors never start under a non-live-safe snapshot.
     std::lock_guard<std::mutex> lk(live_->scrape_mu);
+    // The first run builds the transport and the shard map; do it before
+    // `running` flips, since live /names scrapes read the map unlocked.
+    transport();
     live_->running.store(true, std::memory_order_relaxed);
   }
   switch (cfg_.mode) {
@@ -1129,6 +1136,55 @@ Network::Result Network::run_sequential() {
 // Threaded driver: one executor thread per site, one daemon per node
 // ---------------------------------------------------------------------
 
+namespace {
+
+// How an idle driver thread waits: yield for a streak (a packet landing
+// mid-streak costs no syscall on either side), then park on the
+// thread's doorbell until a producer rings it. Also counts lost
+// wakeups: a park its backstop ended, followed by work that was queued
+// with no ring since the park. That reading is exact because producers
+// ring under the queue lock the scan also takes.
+class IdleWait {
+ public:
+  IdleWait(Doorbell& bell, obs::Counter& parks, obs::Counter& lost)
+      : bell_(bell), parks_(parks), lost_(lost) {}
+
+  /// Take the ticket, before scanning the queues: work pushed after it
+  /// rings the bell and voids the next park; work pushed before it is
+  /// seen by the scan.
+  void scan_begins() { ticket_ = bell_.ticket(); }
+  /// The scan popped queued work (`found`) or not.
+  void scan_ends(bool found) {
+    if (backstopped_ && found && !bell_.rung_since(park_ticket_)) lost_.inc();
+    backstopped_ = false;
+  }
+  void busy() { streak_ = 0; }
+  void idle() {
+    if (++streak_ < kYieldStreak) {
+      std::this_thread::yield();
+      return;
+    }
+    parks_.inc();
+    park_ticket_ = ticket_;
+    backstopped_ = !bell_.wait(ticket_, kBackstop);
+  }
+
+ private:
+  static constexpr std::uint32_t kYieldStreak = 64;
+  // Every producer rings, so the backstop only paces the REL resend
+  // timer (gc_resend_ms) and bounds the cost of a missed ring.
+  static constexpr std::chrono::milliseconds kBackstop{1};
+
+  Doorbell& bell_;
+  obs::Counter& parks_;
+  obs::Counter& lost_;
+  std::uint32_t streak_ = 0;
+  Doorbell::Ticket ticket_ = 0, park_ticket_ = 0;
+  bool backstopped_ = false;
+};
+
+}  // namespace
+
 Network::Result Network::run_threaded() {
   net::Transport& t = transport();
   Result res;
@@ -1177,7 +1233,7 @@ Network::Result Network::run_threaded() {
       auto next_resend = std::chrono::steady_clock::now() +
                          std::chrono::milliseconds(cfg_.gc_resend_ms);
       bool was_idle = false;
-      std::uint32_t idle_streak = 0;
+      IdleWait wait(s.bell(), live_->exec_parks, live_->park_backstops);
       // The credit snapshot walk is O(export table + heap), and a
       // request/reply site flips busy->idle once per round trip — so
       // publishing on every flip is quadratic over a long run. Throttle
@@ -1186,10 +1242,12 @@ Network::Result Network::run_threaded() {
       auto next_publish = std::chrono::steady_clock::now();
       const auto publish_every = std::chrono::milliseconds(20);
       while (!stop.load(std::memory_order_relaxed)) {
+        wait.scan_begins();
         idle_hints[i]->store(false, std::memory_order_release);
         const std::size_t applied = s.process_incoming();
         const std::uint64_t ran = s.run_slice(cfg_.slice);
         executed.fetch_add(ran, std::memory_order_relaxed);
+        wait.scan_ends(applied != 0);
         if (resend_gc && std::chrono::steady_clock::now() >= next_resend) {
           next_resend += std::chrono::milliseconds(cfg_.gc_resend_ms);
           const std::size_t queued = s.collect(/*final=*/false,
@@ -1213,32 +1271,24 @@ Network::Result Network::run_threaded() {
         parked_hints[i]->store(s.machine().parked() > 0 && !s.failed(),
                                std::memory_order_release);
         idle_hints[i]->store(idle, std::memory_order_release);
-        if (idle) {
-          // Adaptive idle: a 50µs park really costs ~100µs of wall once
-          // timer slack and a scheduler pass are added — several hops of
-          // that dominates cross-site RPC latency. Yield first (a
-          // freshly-arrived message is picked up within one scheduler
-          // pass) and only park after a sustained idle streak.
-          if (++idle_streak < 64)
-            std::this_thread::yield();
-          else
-            std::this_thread::sleep_for(std::chrono::microseconds(50));
-        } else {
-          idle_streak = 0;
-        }
+        if (idle)
+          wait.idle();
+        else
+          wait.busy();
       }
     });
   }
   for (std::size_t j = 0; j < nodes_.size(); ++j) {
     threads.emplace_back([&, j, node = nodes_[j].get()] {
       ::prctl(PR_SET_TIMERSLACK, 1000, 0, 0, 0);
-      std::uint32_t idle_streak = 0;
+      IdleWait wait(node->bell(), live_->pump_parks, live_->park_backstops);
       // Over a real wire, death advisories gossiped on kPeers frames
       // move shard ownership here (generation-gated so a quiet fleet
-      // costs one atomic load per pump).
+      // costs one atomic load per pump; a change rings the bell).
       auto* tcp = dynamic_cast<net::TcpTransport*>(&t);
       std::uint64_t adv_gen = 0;
       while (!stop.load(std::memory_order_relaxed)) {
+        wait.scan_begins();
         daemon_hints[j]->store(false, std::memory_order_release);
         if (tcp != nullptr) {
           const std::uint64_t g = tcp->advisory_dead_generation();
@@ -1249,6 +1299,7 @@ Network::Result Network::run_threaded() {
         }
         const std::size_t moved =
             node->pump_incoming(t, 0) + node->pump_outgoing(t, 0);
+        wait.scan_ends(moved != 0);
         if (moved != 0)
           progress.fetch_add(moved, std::memory_order_release);
         daemon_hints[j]->store(moved == 0, std::memory_order_release);
@@ -1256,13 +1307,9 @@ Network::Result Network::run_threaded() {
           // The daemon is the NS owner thread: publish its tables for
           // concurrent /names scrapes (cheap — gated on a dirty count).
           node->name_service().publish_snapshot();
-          // Same adaptive idle as the executors (see above).
-          if (++idle_streak < 64)
-            std::this_thread::yield();
-          else
-            std::this_thread::sleep_for(std::chrono::microseconds(50));
+          wait.idle();
         } else {
-          idle_streak = 0;
+          wait.busy();
         }
       }
     });
@@ -1314,6 +1361,9 @@ Network::Result Network::run_threaded() {
     }
   }
   stop.store(true);
+  // Parked threads would otherwise notice `stop` only at their backstop.
+  for (Site* s : sites) s->bell().ring();
+  for (auto& n : nodes_) n->bell().ring();
   for (auto& th : threads) th.join();
   res.instructions = executed.load() - executed0;
   instructions_run_ += res.instructions;

@@ -5,7 +5,8 @@
 //     tests and the reference for differential checks.
 //   * kThreaded   — one executor thread per site plus one daemon thread
 //     per node (the paper's architecture: sites and TyCOd are threads
-//     sharing the node's address space).
+//     sharing the node's address space). Idle threads park on doorbells
+//     that every queue push rings (support/doorbell.hpp).
 //   * kSim        — conservative virtual-time execution over a
 //     SimTransport: site execution is metered in instructions per
 //     microsecond and packets cost latency + size/bandwidth. Used by the
@@ -340,6 +341,11 @@ class Network {
     // (exported as gc_audits / gc_audit_imbalance; live-safe).
     obs::Counter gc_audits;
     obs::Counter gc_audit_imbalance;
+    // Threaded driver: parks on a doorbell per thread kind, and parks a
+    // backstop ended while work sat queued with no ring (lost wakeups).
+    obs::Counter exec_parks;
+    obs::Counter pump_parks;
+    obs::Counter park_backstops;
     // Serialises a scrape's "at rest → full snapshot" decision against
     // the running transitions: run() flips `running` under this mutex,
     // and a scrape that saw false keeps holding it through the full

@@ -42,6 +42,7 @@ Site& Node::add_site(const std::string& name) {
   const auto site_id = static_cast<std::uint32_t>(sites_.size());
   sites_.push_back(std::make_unique<Site>(name, id_, site_id));
   Site& s = *sites_.back();
+  s.set_pump_bell(&bell_);
   s.set_ns_router(router_);
   s.set_lease_cache(ns_cache_);
   if (metrics_) s.register_metrics(*metrics_);

@@ -16,6 +16,7 @@
 #include "net/transport.hpp"
 #include "obs/flight.hpp"
 #include "obs/trace.hpp"
+#include "support/doorbell.hpp"
 
 namespace dityco::ns {
 class LeaseCache;
@@ -76,6 +77,10 @@ class Node {
   /// a local site). Needs the transport to forward name-service replies.
   void route(net::Packet p, net::Transport& t, double now_us);
 
+  /// The daemon's doorbell: every site's outgoing push rings it, and the
+  /// transport rings it when a packet for this node lands.
+  Doorbell& bell() { return bell_; }
+
   /// Packets delivered site-to-site within this node without touching the
   /// transport (the shared-memory optimisation of section 5).
   std::uint64_t local_deliveries() const { return local_deliveries_; }
@@ -127,6 +132,7 @@ class Node {
   obs::SloPlane* slo_ = nullptr;           // set by set_slo
   std::uint64_t prof_period_ = 0;          // 0 = profiling off
   obs::TraceRing ring_;             // daemon-side events
+  Doorbell bell_;
 };
 
 }  // namespace dityco::core

@@ -142,6 +142,7 @@ void Site::push_incoming(std::vector<std::uint8_t> bytes,
                          std::uint32_t src_node) {
   std::lock_guard<std::mutex> lk(queue_mu_);
   incoming_.push_back(Delivery{std::move(bytes), src_node});
+  bell_.ring();
 }
 
 bool Site::pop_outgoing(net::Packet& out) {
@@ -170,6 +171,7 @@ void Site::send_packet(std::uint32_t dst_node,
   p.bytes = std::move(bytes);
   std::lock_guard<std::mutex> lk(queue_mu_);
   outgoing_.push_back(std::move(p));
+  if (pump_bell_ != nullptr) pump_bell_->ring();
 }
 
 std::size_t Site::process_incoming(std::size_t max_packets) {

@@ -25,6 +25,7 @@
 #include "obs/metrics.hpp"
 #include "obs/slo.hpp"
 #include "obs/trace.hpp"
+#include "support/doorbell.hpp"
 #include "vm/machine.hpp"
 
 namespace dityco::ns {
@@ -126,6 +127,13 @@ class Site {
   std::size_t incoming_size() const;
   std::size_t outgoing_size() const;
 
+  /// The executor's doorbell: push_incoming rings it, so an idle
+  /// executor thread can park on it (threaded driver).
+  Doorbell& bell() { return bell_; }
+  /// The node daemon's doorbell, rung by every outgoing packet (set by
+  /// Node::add_site; null for a free-standing site).
+  void set_pump_bell(Doorbell* b) { pump_bell_ = b; }
+
   /// Disable the dynamic-link cache (ablation A2): every remote
   /// instantiation re-fetches the class code.
   void set_fetch_cache_enabled(bool on) { fetch_cache_enabled_ = on; }
@@ -201,7 +209,7 @@ class Site {
   obs::TraceTag fresh_trace_id() {
     if (!ring_.enabled()) return {};
     obs::TraceTag t;
-    t.id = obs::next_trace_id();
+    t.id = obs::next_trace_id(node_id_);
     t.sampled = ring_.sample(t.id);
     return t;
   }
@@ -246,9 +254,12 @@ class Site {
     std::vector<std::uint8_t> bytes;
     std::uint32_t src_node = kUnknownSource;
   };
+  // Both bells are rung with queue_mu_ held (see support/doorbell.hpp).
   mutable std::mutex queue_mu_;
   std::deque<Delivery> incoming_;
   std::deque<net::Packet> outgoing_;
+  Doorbell bell_;
+  Doorbell* pump_bell_ = nullptr;
 
   // Nodes a failure detector confirmed dead (via PEER-DOWN). Their
   // export credit has been written off; RELs to them are pointless and

@@ -342,7 +342,7 @@ void TcpTransport::send(Packet p, double /*now_us: wall clock rules*/) {
       const std::uint64_t tid = peek_trace_id(p.bytes);
       if (tid != 0) slo_hook_(tid, true, obs::trace_now_ns());
     }
-    inbox_.push_back(std::move(p));
+    deliver_locked(std::move(p));
     return;
   }
   // Encode straight into a pooled buffer — the steady-state hot path
@@ -425,6 +425,21 @@ void TcpTransport::send(Packet p, double /*now_us: wall clock rules*/) {
   }
 }
 
+void TcpTransport::set_doorbell(std::uint32_t node, Doorbell* bell) {
+  std::lock_guard<std::mutex> lk(mu_);
+  if (node == cfg_.self) bell_ = bell;
+}
+
+void TcpTransport::deliver_locked(Packet p) {
+  inbox_.push_back(std::move(p));
+  if (bell_ != nullptr) bell_->ring();
+}
+
+void TcpTransport::advisory_changed_locked() {
+  advisory_gen_.fetch_add(1, std::memory_order_release);
+  if (bell_ != nullptr) bell_->ring();
+}
+
 bool TcpTransport::recv(std::uint32_t node, Packet& out, double /*now_us*/) {
   std::lock_guard<std::mutex> lk(mu_);
   if (node != cfg_.self || inbox_.empty()) return false;
@@ -501,7 +516,7 @@ void TcpTransport::finish_connect(std::uint32_t node, Peer& p, double now) {
     // A reconnect is a path anomaly worth keeping: stamp the trace event
     // with a fresh id so a flight recorder can promote exactly it.
     if (ring_.enabled() || peer_event_hook_) {
-      const std::uint64_t id = obs::next_trace_id();
+      const std::uint64_t id = obs::next_trace_id(cfg_.self);
       if (ring_.enabled())
         ring_.record(obs::EventType::kTcpReconnect, id, node);
       if (peer_event_hook_) peer_event_hook_(PeerEvent::kReconnect, node, id);
@@ -588,11 +603,11 @@ void TcpTransport::mark_dead(std::uint32_t node, Peer& p) {
   // move shard ownership early (they still write off only on their own
   // detector's verdict).
   if (advisory_dead_.insert(node).second) {
-    advisory_gen_.fetch_add(1, std::memory_order_release);
+    advisory_changed_locked();
     broadcast_peers_locked();
   }
   if (ring_.enabled() || peer_event_hook_) {
-    const std::uint64_t id = obs::next_trace_id();
+    const std::uint64_t id = obs::next_trace_id(cfg_.self);
     if (ring_.enabled())
       ring_.record(obs::EventType::kTcpPeerDead, id, node);
     if (peer_event_hook_) peer_event_hook_(PeerEvent::kDead, node, id);
@@ -602,7 +617,7 @@ void TcpTransport::mark_dead(std::uint32_t node, Peer& p) {
     obit.src_node = node;
     obit.dst_node = cfg_.self;
     obit.bytes = death_frame_(node);
-    inbox_.push_back(std::move(obit));
+    deliver_locked(std::move(obit));
   }
   backpressure_cv_.notify_all();
 }
@@ -693,7 +708,7 @@ bool TcpTransport::handle_payload(int fd, std::uint32_t tagged_node,
       const std::uint32_t liveness_node =
           tagged_node != kUnknownNode ? tagged_node : src;
       feed_liveness(liveness_node, now);
-      inbox_.push_back(std::move(p));
+      deliver_locked(std::move(p));
       return true;
     }
     case FrameKind::kHeartbeat: {
@@ -772,7 +787,7 @@ bool TcpTransport::handle_payload(int fd, std::uint32_t tagged_node,
         }
       }
       if (deaths_changed) {
-        advisory_gen_.fetch_add(1, std::memory_order_release);
+        advisory_changed_locked();
         broadcast_peers_locked();
       }
       if (tagged_node != kUnknownNode) feed_liveness(tagged_node, now);
@@ -927,28 +942,7 @@ void TcpTransport::io_loop() {
         cfg_.heartbeat_ms > 0
             ? static_cast<int>(std::min<std::uint64_t>(cfg_.heartbeat_ms, 20))
             : 20;
-    if (cfg_.busy_poll_us == 0) {
-      ::poll(fds.data(), fds.size(), timeout_ms);
-    } else {
-      // Opt-in busy-poll: spin on zero-timeout polls (yielding the core
-      // between probes so executor threads still run) for up to
-      // busy_poll_us before parking in a blocking poll. The fd set is
-      // safe to reuse while spinning — any state change that matters
-      // either arms an fd already polled or pokes the wake pipe.
-      int nready = ::poll(fds.data(), fds.size(), 0);
-      if (nready == 0) {
-        const auto spin_until =
-            std::chrono::steady_clock::now() +
-            std::chrono::microseconds(cfg_.busy_poll_us);
-        while (nready == 0 && !stop_.load(std::memory_order_relaxed) &&
-               std::chrono::steady_clock::now() < spin_until) {
-          std::this_thread::yield();
-          nready = ::poll(fds.data(), fds.size(), 0);
-        }
-        if (nready == 0 && !stop_.load(std::memory_order_relaxed))
-          ::poll(fds.data(), fds.size(), timeout_ms);
-      }
-    }
+    ::poll(fds.data(), fds.size(), timeout_ms);
     if (stop_.load(std::memory_order_relaxed)) break;
 
     std::unique_lock<std::mutex> lk(mu_);

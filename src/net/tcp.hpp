@@ -245,12 +245,6 @@ struct TcpConfig {
   /// behaviour; the benches' "nocoalesce" sections run this way).
   std::size_t flush_bytes = 256u << 10;
   std::size_t flush_frames = 64;
-  /// Opt-in busy-poll: after an idle poll() the I/O thread spins
-  /// (zero-timeout polls interleaved with sched_yield) for up to this
-  /// many microseconds before blocking again. Trades a core for wakeup
-  /// latency; leave 0 unless the node has CPU to burn.
-  std::uint64_t busy_poll_us = 0;
-
   /// Set by the CLI layers when the configuration spans OS processes
   /// (tycod / --tcp / --join); the Network then builds one single-node
   /// TcpTransport instead of an in-process loopback mesh.
@@ -343,6 +337,9 @@ class TcpTransport : public Transport {
   }
   void shutdown() override;
   bool remote() const override { return cfg_.multiprocess; }
+  /// Rung on every inbox push and every advisory-generation change
+  /// (`node` must be this endpoint's own id; others are ignored).
+  void set_doorbell(std::uint32_t node, Doorbell* bell) override;
 
   std::uint16_t port() const { return port_; }
   /// The packet-buffer pool behind encode/enqueue/read (tcp_pool_*
@@ -509,6 +506,10 @@ class TcpTransport : public Transport {
   void flush_peer_writes(Peer& p);
   void queue_frame(Peer& p, FrameKind kind,
                    const std::vector<std::uint8_t>& body);
+  /// Queue a packet for the local daemon and ring its bell.
+  void deliver_locked(Packet p);
+  /// A new advisory death: bump the generation, ring the daemon.
+  void advisory_changed_locked();
   void broadcast_peers_locked();
   double now_ms() const;
   std::uint64_t now_us() const;
@@ -527,6 +528,7 @@ class TcpTransport : public Transport {
   std::atomic<std::uint64_t> advisory_gen_{0};
   std::map<int, Inbound> inbound_;
   std::deque<Packet> inbox_;
+  Doorbell* bell_ = nullptr;  // the local daemon's, rung under mu_
   std::function<std::vector<std::uint8_t>(std::uint32_t)> death_frame_;
   std::function<void(PeerEvent, std::uint32_t, std::uint64_t)>
       peer_event_hook_;
@@ -569,6 +571,9 @@ class TcpMeshTransport : public Transport {
     return packets_.load(std::memory_order_relaxed);
   }
   void shutdown() override;
+  void set_doorbell(std::uint32_t node, Doorbell* bell) override {
+    parts_.at(node)->set_doorbell(node, bell);
+  }
   // In-process: termination detection needs no remote grace period.
   bool remote() const override { return false; }
 

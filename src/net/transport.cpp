@@ -13,7 +13,14 @@ void InProcTransport::send(Packet p, double /*now_us*/) {
   bytes_ += p.bytes.size();
   ++packets_;
   ++in_flight_;
-  inboxes_.at(p.dst_node).push_back(std::move(p));
+  const std::uint32_t dst = p.dst_node;
+  inboxes_.at(dst).push_back(std::move(p));
+  if (bells_[dst] != nullptr) bells_[dst]->ring();
+}
+
+void InProcTransport::set_doorbell(std::uint32_t node, Doorbell* bell) {
+  std::lock_guard<std::mutex> lk(mu_);
+  bells_.at(node) = bell;
 }
 
 void InProcTransport::set_drop_filter(std::function<bool(const Packet&)> f) {

@@ -19,6 +19,8 @@
 #include <optional>
 #include <vector>
 
+#include "support/doorbell.hpp"
+
 namespace dityco::net {
 
 struct Packet {
@@ -68,6 +70,16 @@ class Transport {
     return std::nullopt;
   }
 
+  /// Ring `bell` whenever a packet for `node` lands, so the node's
+  /// daemon can park between packets instead of polling (threaded
+  /// driver). The bell is rung while the inbox lock is held, so a pump
+  /// that pops the packet also sees the ring. Virtual-time transports
+  /// are driven by one thread and keep the default no-op.
+  virtual void set_doorbell(std::uint32_t node, Doorbell* bell) {
+    (void)node;
+    (void)bell;
+  }
+
   /// Total bytes ever sent (benchmark accounting).
   virtual std::uint64_t bytes_sent() const = 0;
   virtual std::uint64_t packets_sent() const = 0;
@@ -76,9 +88,11 @@ class Transport {
 /// Immediate delivery with per-node FIFO inboxes; thread safe.
 class InProcTransport : public Transport {
  public:
-  explicit InProcTransport(std::size_t nodes) : inboxes_(nodes) {}
+  explicit InProcTransport(std::size_t nodes)
+      : inboxes_(nodes), bells_(nodes, nullptr) {}
 
   void send(Packet p, double now_us) override;
+  void set_doorbell(std::uint32_t node, Doorbell* bell) override;
   bool recv(std::uint32_t node, Packet& out, double now_us) override;
   std::size_t in_flight() const override;
   std::uint64_t bytes_sent() const override { return bytes_; }
@@ -93,6 +107,7 @@ class InProcTransport : public Transport {
  private:
   mutable std::mutex mu_;
   std::vector<std::deque<Packet>> inboxes_;
+  std::vector<Doorbell*> bells_;  // per destination node, may be null
   std::function<bool(const Packet&)> drop_;
   std::size_t in_flight_ = 0;
   std::uint64_t bytes_ = 0;

@@ -34,9 +34,24 @@ const char* event_name(EventType t) {
   return "?";
 }
 
+namespace {
+std::atomic<std::uint64_t> g_next_trace_id{1};
+constexpr unsigned kTraceCounterBits = 36;
+}  // namespace
+
 std::uint64_t next_trace_id() {
-  static std::atomic<std::uint64_t> next{1};
-  return next.fetch_add(1, std::memory_order_relaxed);
+  return g_next_trace_id.fetch_add(1, std::memory_order_relaxed);
+}
+
+std::uint64_t next_trace_id(std::uint32_t node) {
+  constexpr std::uint64_t kCounterMask = (1ull << kTraceCounterBits) - 1;
+  const std::uint64_t prefix = (static_cast<std::uint64_t>(node) + 1) & 0xffff;
+  // The counter wraps within its 36 bits (~6.9e10 ids) and skips 0.
+  std::uint64_t n;
+  do {
+    n = g_next_trace_id.fetch_add(1, std::memory_order_relaxed) & kCounterMask;
+  } while (n == 0);
+  return (prefix << kTraceCounterBits) | n;
 }
 
 std::uint64_t trace_now_ns() {

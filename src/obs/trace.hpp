@@ -84,8 +84,16 @@ struct TraceEvent {
   std::uint64_t ts_ns = 0;     // steady_clock (or virtual time, sim mode)
 };
 
-/// Fresh non-zero trace id (process-global).
+/// Fresh non-zero trace id (process-global counter, no node part).
 std::uint64_t next_trace_id();
+
+/// Fresh non-zero trace id qualified by the node that issues it: bits
+/// 36..51 hold (node + 1) mod 2^16 and the low 36 bits the process-wide
+/// counter. Two daemons with different node ids (below 65535) never
+/// issue the same id, and, until a process has drawn 2^36 ids, no
+/// node-qualified id equals an unqualified one. Ids stay below 2^53, so
+/// JSON readers that parse numbers as doubles keep them exact.
+std::uint64_t next_trace_id(std::uint32_t node);
 
 /// steady_clock now, in nanoseconds.
 std::uint64_t trace_now_ns();

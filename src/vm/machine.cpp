@@ -907,6 +907,14 @@ std::size_t Machine::max_frame_locals() const {
   return most;
 }
 
+std::size_t Machine::max_frame_stack() const {
+  std::size_t most = 0;
+  for (const Frame& f : queue_) most = std::max(most, f.stack.size());
+  for (const auto& [tok, pf] : parked_)
+    most = std::max(most, pf.frame.stack.size());
+  return most;
+}
+
 std::uint64_t Machine::run(std::uint64_t max_instructions) {
   const bool tracing = ring_ && ring_->enabled() && !queue_.empty();
   if (tracing) ring_->record(obs::EventType::kSliceBegin, 0);
@@ -923,6 +931,11 @@ std::uint64_t Machine::run(std::uint64_t max_instructions) {
     }
     bool requeue = false;
     executed += exec(f, max_instructions - executed, requeue);
+    if (requeue && f.stack.size() > kMaxStack) {
+      // Off the interpreter loop: a verified jump back can push forever.
+      error("operand stack beyond frame limit");
+      requeue = false;
+    }
     if (requeue) {
       queue_.push_front(std::move(f));
     } else {

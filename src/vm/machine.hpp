@@ -188,6 +188,8 @@ class Machine {
   std::size_t parked() const { return parked_.size(); }
   /// The most locals any runnable or parked frame holds (at rest).
   std::size_t max_frame_locals() const;
+  /// The deepest operand stack any runnable or parked frame holds.
+  std::size_t max_frame_stack() const;
   std::uint64_t pending_messages() const { return pending_msgs_; }
   std::uint64_t pending_objects() const { return pending_objs_; }
 

@@ -73,6 +73,14 @@ enum class Op : std::uint32_t {
 /// 64 KiB).
 inline constexpr std::uint32_t kMaxLocals = 4096;
 
+/// Operand-stack depth a preempted frame may carry into its next slice.
+/// Verified code can still grow the stack without bound (`pushb 1;
+/// jmp 0`), so Machine::run checks the depth whenever it requeues a
+/// preempted frame and kills a frame above this with a VM error: a
+/// frame's stack never exceeds kMaxStack + one slice of pushes (65536
+/// values, 1 MiB, plus the slice).
+inline constexpr std::uint32_t kMaxStack = 1u << 16;
+
 /// Number of operand words following each opcode.
 int op_arity(Op op);
 const char* op_name(Op op);

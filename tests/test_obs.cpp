@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <set>
 #include <thread>
 
 #include "calculus/reducer.hpp"
@@ -175,6 +176,55 @@ TEST(TraceRing, FreshTraceIdsAreUniqueAndNonZero) {
   EXPECT_NE(a, 0u);
   EXPECT_NE(b, 0u);
   EXPECT_NE(a, b);
+}
+
+TEST(TraceRing, NodeQualifiedIdsNeverCollideAcrossNodes) {
+  // Two daemons draw from their own process counters, which may sit at
+  // the same value: the node part keeps their ids apart, and apart from
+  // the unqualified ids tools and generators draw.
+  std::set<std::uint64_t> node1, node2;
+  for (int i = 0; i < 1000; ++i) {
+    const std::uint64_t a = obs::next_trace_id(1);
+    const std::uint64_t b = obs::next_trace_id(2);
+    const std::uint64_t u = obs::next_trace_id();
+    EXPECT_NE(a, 0u);
+    EXPECT_EQ(a >> 36, 2u) << "node 1 carries prefix 2";
+    EXPECT_EQ(b >> 36, 3u);
+    EXPECT_EQ(u >> 36, 0u);
+    EXPECT_LT(a, 1ull << 53) << "exact as a JSON double";
+    node1.insert(a);
+    node2.insert(b);
+  }
+  for (std::uint64_t id : node1) EXPECT_EQ(node2.count(id), 0u);
+  // Same counter value on both nodes, different ids.
+  const std::uint64_t low = obs::next_trace_id(7) & ((1ull << 36) - 1);
+  EXPECT_NE((std::uint64_t{8} << 36) | low, (std::uint64_t{9} << 36) | low);
+  // The largest node id still fits below 2^53 and stays non-zero.
+  EXPECT_LT(obs::next_trace_id(65534), 1ull << 53);
+  // Sampling stays a pure function of the id.
+  for (std::uint64_t id : node1)
+    EXPECT_EQ(obs::trace_id_sampled(id, 4, 3), obs::trace_id_sampled(id, 4, 3));
+}
+
+TEST(EndToEnd, SiteTraceIdsCarryTheirNode) {
+  core::Network net;
+  net.add_node();
+  net.add_node();
+  net.add_site(0, "server");
+  net.add_site(1, "client");
+  net.enable_tracing();
+  net.submit_network_source(
+      "site server { export new p in p?{ val(x, rep) = rep![x * 2] } }\n"
+      "site client { import p from server in let z = p![21] in print[z] }");
+  ASSERT_TRUE(net.run().quiescent);
+  int departures = 0;
+  for (const auto& th : net.collect_traces())
+    for (const auto& e : th.events)
+      if (e.type == obs::EventType::kShipMsgOut) {
+        ++departures;
+        EXPECT_EQ(e.trace_id >> 36, e.node + 1u) << th.name;
+      }
+  EXPECT_EQ(departures, 2) << "SHIPM there, SHIPM back";
 }
 
 // ---------------------------------------------------------------------

@@ -198,6 +198,28 @@ TEST(Verifier, HighestLegalSlotRunsAndIsTheFrameLimit) {
   EXPECT_EQ(m.output(), std::vector<std::string>{"7"});
 }
 
+TEST(Verifier, UnboundedPushLoopEndsInAVmErrorWithABoundedStack) {
+  // pushb 1; jmp 0 — verified code that pushes one value every two
+  // instructions, forever. The machine must kill it, not grow it.
+  const Segment seg = entry_segment({op(Op::kPushBool), 1, op(Op::kJmp), 0});
+  ASSERT_TRUE(verify_segment(seg, SegmentRole::kAny).empty());
+  Machine m("m");
+  std::map<SegmentGuid, Segment> pool{{seg.guid, seg}};
+  Frame f;
+  f.seg = m.link(seg.guid, pool);
+  m.spawn_frame(std::move(f));
+  constexpr std::uint64_t kSlice = 256;
+  int slices = 0;
+  for (; slices < 4 * static_cast<int>(kMaxStack) && !m.idle(); ++slices) {
+    m.run(kSlice);
+    ASSERT_LE(m.max_frame_stack(), kMaxStack + kSlice);
+  }
+  EXPECT_TRUE(m.idle()) << "the frame must be dropped";
+  EXPECT_LT(slices, 4 * static_cast<int>(kMaxStack));
+  ASSERT_EQ(m.errors().size(), 1u);
+  EXPECT_NE(m.errors()[0].find("operand stack"), std::string::npos);
+}
+
 TEST(Verifier, FrameShapeOfCompiledCode) {
   // The recursive call stacks seven arguments, one of them still being
   // computed, before the class value: the shape must cover that without
@@ -289,6 +311,7 @@ TEST_P(SegmentFuzz, AcceptedMutantsNeverFaultTheVm) {
     for (int slice = 0; slice < 200 && !m.idle(); ++slice) {
       m.run(50);
       ASSERT_LE(m.max_frame_locals(), kMaxLocals);
+      ASSERT_LE(m.max_frame_stack(), kMaxStack + 50);
     }
     m.gc();
     EXPECT_LE(m.errors().size(), 10'000u);

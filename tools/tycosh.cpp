@@ -103,7 +103,6 @@ int usage() {
       "                                (1 shard, the default, is the\n"
       "                                central name service on node 0)\n"
       "         --flush-bytes N  --flush-frames N  writev coalescing caps\n"
-      "         --busy-poll-us N       spin the I/O thread before blocking\n"
       "         --stats | :stats       print the metrics registry\n"
       "         :trace FILE.json       write a Perfetto/Chrome trace\n"
       "         --sample N             trace 1-in-N operations\n"
@@ -152,7 +151,7 @@ int main(int argc, char** argv) {
   bool show_gc = false, show_names = false, do_audit = false;
   bool show_slo = false;
   std::string fleet_url;
-  long flush_bytes = -1, flush_frames = -1, busy_poll_us = -1;
+  long flush_bytes = -1, flush_frames = -1;
   long ns_shards = 1, ns_replicas = 1, ns_lease_ms = 0;
 
   for (int i = 1; i < argc; ++i) {
@@ -185,8 +184,6 @@ int main(int argc, char** argv) {
       flush_bytes = std::atol(argv[++i]);
     } else if (arg == "--flush-frames" && i + 1 < argc) {
       flush_frames = std::atol(argv[++i]);
-    } else if (arg == "--busy-poll-us" && i + 1 < argc) {
-      busy_poll_us = std::atol(argv[++i]);
     } else if (arg == "--ns-shards" && i + 1 < argc) {
       ns_shards = std::atol(argv[++i]);
     } else if (arg == "--ns-replicas" && i + 1 < argc) {
@@ -331,8 +328,6 @@ int main(int argc, char** argv) {
       cfg.tcp.flush_bytes = static_cast<std::size_t>(flush_bytes);
     if (flush_frames >= 0)
       cfg.tcp.flush_frames = static_cast<std::size_t>(flush_frames);
-    if (busy_poll_us >= 0)
-      cfg.tcp.busy_poll_us = static_cast<std::uint64_t>(busy_poll_us);
     cfg.ns_shards = static_cast<std::uint32_t>(ns_shards < 1 ? 1 : ns_shards);
     cfg.ns_replicas =
         static_cast<std::uint32_t>(ns_replicas < 0 ? 0 : ns_replicas);
