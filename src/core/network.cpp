@@ -1104,6 +1104,7 @@ void Network::sequential_drain(net::Transport& t, Result& res) {
         Site& s = *n->sites()[i];
         moved += s.process_incoming();
         executed += s.run_slice(cfg_.slice);
+        s.collect_if_grown();
         moved += n->pump_site_outgoing(t, i, 0);
       }
     }
@@ -1248,13 +1249,12 @@ Network::Result Network::run_threaded() {
         const std::uint64_t ran = s.run_slice(cfg_.slice);
         executed.fetch_add(ran, std::memory_order_relaxed);
         wait.scan_ends(applied != 0);
+        std::size_t queued = s.collect_if_grown();
         if (resend_gc && std::chrono::steady_clock::now() >= next_resend) {
           next_resend += std::chrono::milliseconds(cfg_.gc_resend_ms);
-          const std::size_t queued = s.collect(/*final=*/false,
-                                               /*resend=*/true);
-          if (queued != 0)
-            progress.fetch_add(queued, std::memory_order_release);
+          queued += s.collect(/*final=*/false, /*resend=*/true);
         }
+        if (queued != 0) progress.fetch_add(queued, std::memory_order_release);
         if (applied != 0)
           progress.fetch_add(applied, std::memory_order_release);
         const bool idle =

@@ -94,8 +94,10 @@ class Network {
     /// Distributed GC for network references (credit-based reference
     /// counting; DESIGN.md §GC). Sites stamp kGcFlag on their frames and
     /// reclaim export-table entries once every minted unit of credit has
-    /// returned. The sequential and threaded drivers run collection
-    /// passes at quiescence; sim mode defers GC entirely to
+    /// returned. The sequential and threaded drivers run a collection
+    /// pass whenever a site's heap has grown to twice what its last
+    /// collection kept (Site::collect_if_grown, after a run slice), and
+    /// again at quiescence; sim mode defers GC entirely to
     /// collect_garbage() so virtual-time results are unaffected.
     bool gc = true;
     /// Threaded driver: every `gc_resend_ms` milliseconds each site
@@ -325,7 +327,8 @@ class Network {
   /// Feed a transport's tcp-send/tcp-recv hops into the SLO ledger.
   void wire_tcp_slo(net::TcpTransport& t);
   /// The sequential pump loop: round-robin sites until quiescent (with
-  /// cfg.gc, quiescence triggers collection passes until no RELs flow).
+  /// cfg.gc, a grown heap collects after its slice, and quiescence
+  /// triggers collection passes until no RELs flow).
   void sequential_drain(net::Transport& t, Result& res);
 
   /// Live run state shared between the drivers and TyCOmon's handlers.

@@ -102,6 +102,11 @@ void Site::register_metrics(obs::Registry& registry) {
     c.counter("site_gc_credit_written_off" + l,
               machine_.gc_stats().credit_written_off);
     c.counter("site_peers_down" + l, mobility_.peers_down);
+    c.counter("site_gc_growth_collections_total" + l, gc_growth_collections_);
+    c.gauge("site_vm_live_channels" + l, heap_gauges_.live_channels);
+    c.gauge("site_vm_live_netrefs" + l, heap_gauges_.live_netrefs);
+    c.gauge("site_vm_live_exports" + l, heap_gauges_.live_exports);
+    c.gauge("site_vm_rel_ledger_entries" + l, heap_gauges_.rel_ledger);
     c.histogram("site_packet_bytes" + l, packet_bytes_.snapshot());
     c.histogram("site_fetch_rtt_us" + l, fetch_rtt_us_.snapshot());
   });
@@ -473,15 +478,27 @@ std::size_t Site::collect(bool final, bool resend) {
     ++queued;
   }
   // Every collection pass ends with a fresh published snapshot, so /gc
-  // served mid-run reflects the credit state as of the last quiescence
-  // or resend pass.
+  // served mid-run reflects the credit state as of the last collection.
   publish_gc_snapshot();
   return queued;
+}
+
+std::size_t Site::collect_if_grown() {
+  if (!gc_enabled_ || failed() || !machine_.gc_due()) return 0;
+  ++gc_growth_collections_;
+  // Sweep even on a clean machine: only a gc() re-arms the threshold.
+  machine_.mark_gc_dirty();
+  return collect(/*final=*/false);
 }
 
 void Site::publish_gc_snapshot() {
   auto snap = std::make_shared<const vm::Machine::GcSnapshot>(
       machine_.gc_snapshot());
+  auto as_gauge = [](std::size_t n) { return static_cast<std::int64_t>(n); };
+  heap_gauges_.live_channels.set(as_gauge(snap->live_channels));
+  heap_gauges_.live_netrefs.set(as_gauge(snap->live_netrefs));
+  heap_gauges_.live_exports.set(as_gauge(snap->exports.size()));
+  heap_gauges_.rel_ledger.set(as_gauge(snap->releases.size()));
   std::lock_guard<std::mutex> lk(snap_mu_);
   gc_snap_ = std::move(snap);
 }

@@ -109,6 +109,13 @@ class Site {
   /// owner). Returns the number of packets queued. No-op unless
   /// set_gc_enabled(true).
   std::size_t collect(bool final, bool resend = false);
+  /// Growth-triggered collect() (executor thread, after a run slice):
+  /// collects once the machine's heap has reached its growth threshold
+  /// (vm::Machine::gc_due), so a site that never reaches quiescence
+  /// still frees what it no longer reaches. The sequential and threaded
+  /// drivers call it after every slice; the sim driver does not, so
+  /// virtual time is unaffected. Returns the number of packets queued.
+  std::size_t collect_if_grown();
 
   /// Opt this site into the credit-based distributed GC (wire frames it
   /// sends will carry the kGcFlag credit fields).
@@ -191,9 +198,10 @@ class Site {
   void register_metrics(obs::Registry& registry);
 
   /// Executor thread: rebuild and publish the machine's credit-state
-  /// snapshot for concurrent /gc scrapes (called at the end of every
-  /// collect() pass and on executor idle transitions — the same
-  /// single-writer/atomic-snapshot discipline as the trace ring).
+  /// snapshot for concurrent /gc scrapes, and the live-safe heap gauges
+  /// (called at the end of every collect() pass and on executor idle
+  /// transitions — the same single-writer/atomic-snapshot discipline as
+  /// the trace ring).
   void publish_gc_snapshot();
   /// Last published snapshot (any thread; null until first publish).
   std::shared_ptr<const vm::Machine::GcSnapshot> gc_snapshot() const;
@@ -298,6 +306,13 @@ class Site {
 
   mutable std::mutex snap_mu_;
   std::shared_ptr<const vm::Machine::GcSnapshot> gc_snap_;
+
+  obs::Counter gc_growth_collections_;
+  // Heap occupancy as of the last published snapshot: atomic cells, so
+  // a live scrape can read a serving daemon's heap.
+  struct HeapGauges {
+    obs::Gauge live_channels, live_netrefs, live_exports, rel_ledger;
+  } heap_gauges_;
 };
 
 }  // namespace dityco::core

@@ -703,43 +703,43 @@ Machine::GcOutcome Machine::gc(const std::vector<Value>& extra_roots,
   gc_dirty_ = false;
   ++gc_stats_.collections;
 
-  std::vector<std::uint8_t> cmark(heap_.size(), 0);
-  std::vector<std::uint8_t> bmark(blocks_.size(), 0);
-  std::vector<std::uint8_t> clmark(classes_.size(), 0);
-  std::vector<std::uint8_t> nmark(netrefs_.size(), 0);
-  std::vector<Value> work;
+  cmark_.assign(heap_.size(), 0);
+  bmark_.assign(blocks_.size(), 0);
+  clmark_.assign(classes_.size(), 0);
+  nmark_.assign(netrefs_.size(), 0);
+  gc_work_.clear();
 
   auto mark_block = [&](std::uint32_t blk) {
-    if (blk == Frame::kNoBlock || blk >= bmark.size() || bmark[blk]) return;
-    bmark[blk] = 1;
-    for (const Value& v : blocks_[blk].env) work.push_back(v);
+    if (blk == Frame::kNoBlock || blk >= bmark_.size() || bmark_[blk]) return;
+    bmark_[blk] = 1;
+    for (const Value& v : blocks_[blk].env) gc_work_.push_back(v);
   };
   auto mark_value = [&](const Value& v) {
     switch (v.tag) {
       case Value::Tag::kChan:
-        if (v.idx < cmark.size() && !chan_freed_[v.idx] && !cmark[v.idx]) {
-          cmark[v.idx] = 1;
+        if (v.idx < cmark_.size() && !chan_freed_[v.idx] && !cmark_[v.idx]) {
+          cmark_[v.idx] = 1;
           const Channel& ch = heap_[v.idx];
           for (std::uint32_t k = 0; k < ch.size(); ++k)
-            for (const Value& a : ch.at(k).vals) work.push_back(a);
+            for (const Value& a : ch.at(k).vals) gc_work_.push_back(a);
         }
         return;
       case Value::Tag::kClass:
-        if (v.idx < clmark.size() && !clmark[v.idx]) {
-          clmark[v.idx] = 1;
+        if (v.idx < clmark_.size() && !clmark_[v.idx]) {
+          clmark_[v.idx] = 1;
           mark_block(classes_[v.idx].block);
         }
         return;
       case Value::Tag::kNetRef:
-        if (v.idx < nmark.size() && !netref_freed_[v.idx]) nmark[v.idx] = 1;
+        if (v.idx < nmark_.size() && !netref_freed_[v.idx]) nmark_[v.idx] = 1;
         return;
       default:
         return;
     }
   };
   auto mark_frame = [&](const Frame& f) {
-    for (const Value& v : f.locals) work.push_back(v);
-    for (const Value& v : f.stack) work.push_back(v);
+    for (const Value& v : f.locals) gc_work_.push_back(v);
+    for (const Value& v : f.stack) gc_work_.push_back(v);
     mark_block(f.block);
   };
 
@@ -748,33 +748,36 @@ Machine::GcOutcome Machine::gc(const std::vector<Value>& extra_roots,
   // roots, and pinned netrefs.
   for (const Frame& f : queue_) mark_frame(f);
   for (const auto& [tok, pf] : parked_) mark_frame(pf.frame);
-  for (const auto& [nm, idx] : globals_) work.push_back(Value::make_chan(idx));
+  for (const auto& [nm, idx] : globals_)
+    gc_work_.push_back(Value::make_chan(idx));
   for (const auto& [id, e] : chan_exports_)
-    work.push_back(Value::make_chan(e.local));
+    gc_work_.push_back(Value::make_chan(e.local));
   for (const auto& [id, e] : class_exports_)
-    work.push_back(Value::make_class(e.local));
-  for (const Value& v : extra_roots) work.push_back(v);
+    gc_work_.push_back(Value::make_class(e.local));
+  for (const Value& v : extra_roots) gc_work_.push_back(v);
   for (const NetRef& ref : pinned)
     if (auto it = netref_ids_.find(ref); it != netref_ids_.end())
-      nmark[it->second] = 1;
+      nmark_[it->second] = 1;
 
-  while (!work.empty()) {
-    const Value v = work.back();
-    work.pop_back();
+  while (!gc_work_.empty()) {
+    const Value v = gc_work_.back();
+    gc_work_.pop_back();
     mark_value(v);
   }
 
   GcOutcome out;
   for (std::uint32_t i = 0; i < heap_.size(); ++i)
-    if (!chan_freed_[i] && !cmark[i]) {
+    if (!chan_freed_[i] && !cmark_[i]) {
       free_channel(i);
       ++out.channels_freed;
     }
   for (std::uint32_t i = 0; i < netrefs_.size(); ++i)
-    if (!netref_freed_[i] && !nmark[i]) {
+    if (!netref_freed_[i] && !nmark_[i]) {
       free_netref(i);
       ++out.netrefs_freed;
     }
+  gc_threshold_ =
+      std::max(kGcMinHeap, 2 * (live_channels() + live_netrefs()));
   return out;
 }
 

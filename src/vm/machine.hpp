@@ -344,6 +344,17 @@ class Machine {
   bool gc_dirty() const { return gc_dirty_; }
   void mark_gc_dirty() { gc_dirty_ = true; }
 
+  /// Smallest heap (live channels + live netrefs) the growth trigger
+  /// collects at.
+  static constexpr std::size_t kGcMinHeap = 1024;
+  /// Growth trigger: the heap has reached max(kGcMinHeap, twice the
+  /// survivors of the last gc()). Every gc() re-arms it, whatever ran
+  /// it, so a collection costs amortised O(1) per allocation and a
+  /// site under continuous load collects without reaching quiescence.
+  bool gc_due() const {
+    return live_channels() + live_netrefs() >= gc_threshold_;
+  }
+
   // -- GC introspection (leak checks and gauges) --
 
   std::size_t live_exports() const {
@@ -356,6 +367,10 @@ class Machine {
   std::size_t live_netrefs() const {
     return netrefs_.size() - free_netrefs_.size();
   }
+  /// Channel and netref slots ever allocated. Slots are reused and never
+  /// erased, and a new one is made only when every slot is live, so this
+  /// is the sum of the live-channel and live-netref high-water marks.
+  std::size_t heap_high_water() const { return heap_.size() + netrefs_.size(); }
   /// Σ of local credit balances over live netref slots.
   std::uint64_t netref_credit_total() const;
 
@@ -606,6 +621,11 @@ class Machine {
   std::map<NetRef, std::uint64_t> rel_cum_;
   std::vector<NetRef> pending_rel_;
   bool gc_dirty_ = false;
+  std::size_t gc_threshold_ = kGcMinHeap;
+  // gc()'s mark bits and work list, kept across collections so a
+  // steady-state collection does not call the allocator.
+  std::vector<std::uint8_t> cmark_, bmark_, clmark_, nmark_;
+  std::vector<Value> gc_work_;
   GcStats gc_stats_;
   std::uint32_t credit_peer_ = kNoPeer;
   std::uint64_t credit_trace_ = 0;

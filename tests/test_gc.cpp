@@ -208,6 +208,68 @@ TEST(Gc, MetricsExposed) {
 }
 
 // ---------------------------------------------------------------------
+// Collection while serving (heap-growth trigger)
+// ---------------------------------------------------------------------
+
+/// A client making 20 000 sequential RPCs, each passing a fresh reply
+/// channel: one export entry at the client and one netref at the server
+/// per call. Neither site reaches quiescence until the last reply.
+void build_rpc_churn(Network& net) {
+  net.add_node();
+  net.add_node();
+  net.add_site(0, "server");
+  net.add_site(1, "client");
+  net.submit_network_source(
+      "site server { export new p in "
+      "def Serve(self) = self?{ val(x, reply) = (reply![x] | Serve[self]) } "
+      "in Serve[p] }\n"
+      "site client { import p from server in "
+      "def Loop(n) = if n == 0 then print[\"done\"] "
+      "else (let z = p![n] in Loop[n - 1]) in Loop[20000] }");
+}
+
+/// The heap's high water stays under a bound that does not depend on the
+/// number of requests, then the final epoch drains everything.
+void expect_bounded_churn(Network& net, const Network::Result& res) {
+  EXPECT_TRUE(res.quiescent);
+  EXPECT_TRUE(net.all_errors().empty());
+  EXPECT_EQ(net.output("client"), std::vector<std::string>{"done"});
+  for (const auto& n : net.nodes())
+    for (const auto& s : n->sites()) {
+      EXPECT_LE(s->machine().heap_high_water(), 4096u) << s->name();
+      EXPECT_GE(s->machine().gc_stats().collections, 9u) << s->name();
+    }
+  expect_all_empty(net, net.collect_garbage());
+}
+
+TEST(GcGrowth, SequentialRpcChurnKeepsTheHeapBounded) {
+  Network net;
+  build_rpc_churn(net);
+  const auto res = net.run();
+  // The live-safe heap gauges a serving daemon's /metrics shows.
+  const auto snap = net.metrics().snapshot(/*live_only=*/true);
+  EXPECT_GE(
+      snap.counters.at("site_gc_growth_collections_total{site=\"server\"}"),
+      9u);
+  EXPECT_EQ(snap.gauges.at("site_vm_live_netrefs{site=\"server\"}"), 0);
+  EXPECT_EQ(snap.gauges.at("site_vm_live_exports{site=\"server\"}"), 1);
+  EXPECT_EQ(snap.gauges.at("site_vm_live_channels{site=\"client\"}"), 0);
+  // One ledger entry per released reply channel (DESIGN.md §7).
+  EXPECT_EQ(snap.gauges.at("site_vm_rel_ledger_entries{site=\"server\"}"),
+            20000);
+  expect_bounded_churn(net, res);
+}
+
+TEST(GcGrowth, ThreadedRpcChurnKeepsTheHeapBounded) {
+  Network::Config cfg;
+  cfg.mode = Network::Mode::kThreaded;
+  cfg.timeout_ms = 60000;
+  Network net(cfg);
+  build_rpc_churn(net);
+  expect_bounded_churn(net, net.run());
+}
+
+// ---------------------------------------------------------------------
 // Machine-level REL protocol semantics
 // ---------------------------------------------------------------------
 

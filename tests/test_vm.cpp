@@ -578,6 +578,35 @@ TEST(Channel, GcFreesQueuedChannelsAndReusesSlots) {
   EXPECT_EQ(m.live_channels(), 8u);
 }
 
+TEST(Gc, GrowthTriggerRearmsAtTwiceTheSurvivors) {
+  Machine m("main");
+  for (std::size_t k = 0; k + 1 < Machine::kGcMinHeap; ++k) m.new_channel();
+  EXPECT_FALSE(m.gc_due());
+  m.new_channel();
+  EXPECT_TRUE(m.gc_due());
+  // 600 exported channels survive, so the next trigger is at 1200.
+  for (std::uint32_t idx = 0; idx < 600; ++idx) m.export_chan(idx);
+  m.gc();
+  EXPECT_EQ(m.live_channels(), 600u);
+  while (m.live_channels() + 1 < 1200) m.new_channel();
+  EXPECT_FALSE(m.gc_due());
+  m.new_channel();
+  EXPECT_TRUE(m.gc_due());
+  EXPECT_EQ(m.heap_high_water(), 1200u) << "freed slots are reused first";
+}
+
+TEST(Gc, SteadyStateCollectionAllocatesNothing) {
+  Machine m("main");
+  auto churn = [&] {
+    for (int k = 0; k < 2000; ++k) m.new_channel();
+    EXPECT_EQ(m.gc().channels_freed, 2000u);
+  };
+  churn();  // sizes the mark bits and the free list
+  const std::uint64_t before = g_allocations.load();
+  churn();
+  EXPECT_EQ(g_allocations.load() - before, 0u);
+}
+
 TEST(Channel, QueueGauges) {
   obs::Registry reg;
   auto m = run_local("new x, y (x![1] | x![2] | x![3] | y![4] | new z 0)");
